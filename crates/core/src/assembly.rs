@@ -161,14 +161,7 @@ impl GraphAssembler {
 
         // Step 2: top entries of the upper triangle until the budget is hit.
         if added < budget {
-            let mut entries: Vec<(f32, usize, usize)> = Vec::with_capacity(ns * ns / 2);
-            for i in 0..ns {
-                for j in (i + 1)..ns {
-                    entries.push((probs.get(i, j), i, j));
-                }
-            }
-            entries.sort_by(|a, b| b.0.total_cmp(&a.0));
-            for (_, i, j) in entries {
+            for (i, j) in self.ranked_pairs(nodes, probs) {
                 if added >= budget {
                     break;
                 }
@@ -181,6 +174,24 @@ impl GraphAssembler {
             }
         }
         added
+    }
+
+    /// Upper-triangle pairs `(i, j)` of `probs` whose endpoints are both
+    /// under budget, by probability descending, ties in row-major order —
+    /// the order a stable sort of all pairs gives. Degrees only grow, so
+    /// top-k would skip every pair left out here anyway.
+    pub fn ranked_pairs(&self, nodes: &[NodeId], probs: &Matrix) -> Vec<(usize, usize)> {
+        let open: Vec<usize> = (0..nodes.len())
+            .filter(|&i| !self.over_budget(nodes[i]))
+            .collect();
+        let mut entries: Vec<(f32, usize, usize)> = Vec::new();
+        for (a, &i) in open.iter().enumerate() {
+            let row = probs.row(i);
+            entries.extend(open[a + 1..].iter().map(|&j| (row[j], i, j)));
+        }
+        entries
+            .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        entries.into_iter().map(|(_, i, j)| (i, j)).collect()
     }
 
     /// Fills any remaining edge deficit by Chung-Lu sampling over the

@@ -439,7 +439,7 @@ impl CpGan {
         }
         // Simulation state: encode the whole observed graph once (this is
         // the step that requires the full graph in device memory, §III-H).
-        let (mu, sigma) = self.encode_latents(g);
+        let (mu, sigma) = self.encode_latents(g, full_feats);
         self.sim_state = Some(SimState {
             mu,
             sigma,
@@ -448,11 +448,11 @@ impl CpGan {
         stats
     }
 
-    /// Encodes `g` and returns the per-node posterior means and the shared
-    /// posterior standard deviation row.
-    fn encode_latents(&mut self, g: &Graph) -> (Matrix, Matrix) {
+    /// Encodes `g` from its node features `feats` and returns the per-node
+    /// posterior means and the shared posterior standard deviation row.
+    fn encode_latents(&mut self, g: &Graph, feats: Matrix) -> (Matrix, Matrix) {
         let tape = Tape::new();
-        let x = tape.constant(self.features(g, self.cfg.seed));
+        let x = tape.constant(feats);
         let adj = Arc::new(Csr::normalized_adjacency(g));
         let enc = self.encoder.encode(&tape, &AdjInput::Sparse(adj), &x);
         let z_rec_cat = Var::concat_cols(&enc.z_rec);
@@ -496,22 +496,9 @@ impl CpGan {
         let mut ids: Vec<NodeId> = (0..n as NodeId).collect();
         while !asm.is_complete() && round < max_rounds {
             round += 1;
-            // Weighted partial shuffle: degree-proportional without
-            // replacement for the first `ns` slots.
-            let mut total: f64 = ids.iter().map(|&v| weights[v as usize]).sum();
-            for i in 0..ns {
-                let mut x = rng.gen::<f64>() * total.max(f64::MIN_POSITIVE);
-                let mut pick = i;
-                for j in i..n {
-                    x -= weights[ids[j] as usize];
-                    if x <= 0.0 {
-                        pick = j;
-                        break;
-                    }
-                }
-                total -= weights[ids[pick] as usize];
-                ids.swap(i, pick);
-            }
+            // Degree-proportional without replacement for the first `ns`
+            // slots.
+            sampling::weighted_prefix_shuffle(&mut ids, &weights, ns, rng);
             let nodes: Vec<NodeId> = ids[..ns].to_vec();
             let tape = Tape::new();
             let mut noise_rng = StdRng::seed_from_u64(rng.gen());

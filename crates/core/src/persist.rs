@@ -62,6 +62,42 @@ impl From<serde_json::Error> for PersistError {
     }
 }
 
+/// Checks a snapshot's simulation state before generation relies on it:
+/// one degree per latent row, a `1 x cols` sigma row, and degrees that are
+/// finite, non-negative whole numbers. Generation's node draw is exact only
+/// for whole-number weights, and its degree budgets need one per node.
+fn check_sim_state(mu: &Matrix, sigma: &Matrix, degrees: &[f64]) -> Result<(), String> {
+    if degrees.len() != mu.rows() {
+        return Err(format!(
+            "simulation state has {} degrees for {} latent rows",
+            degrees.len(),
+            mu.rows()
+        ));
+    }
+    if sigma.shape() != (1, mu.cols()) {
+        return Err(format!(
+            "simulation state sigma is {}x{}, expected 1x{}",
+            sigma.rows(),
+            sigma.cols(),
+            mu.cols()
+        ));
+    }
+    // `fract` of a finite non-negative number lies in [0, 1), and is NaN
+    // for infinities; NaN degrees fail the first test.
+    let whole = |d: f64| d >= 0.0 && d.fract() <= 0.0;
+    if let Some(v) = degrees.iter().position(|&d| !whole(d)) {
+        return Err(format!(
+            "simulation state degree {} of node {v} is not a non-negative whole number",
+            degrees[v]
+        ));
+    }
+    // Below 2^53 every partial sum of whole numbers is an exact f64.
+    if degrees.iter().sum::<f64>() >= 9_007_199_254_740_992.0 {
+        return Err("simulation state degrees sum to 2^53 or more".to_string());
+    }
+    Ok(())
+}
+
 impl CpGan {
     /// Serializes the model to a snapshot.
     pub fn snapshot(&self) -> ModelSnapshot {
@@ -86,6 +122,9 @@ impl CpGan {
             .params()
             .import_values(snap.parameters)
             .map_err(PersistError::Incompatible)?;
+        if let Some((mu, sigma, degrees)) = &snap.sim_state {
+            check_sim_state(mu, sigma, degrees).map_err(PersistError::Incompatible)?;
+        }
         model.set_sim_state_raw(snap.sim_state);
         Ok(model)
     }
@@ -242,6 +281,77 @@ mod tests {
             CpGan::from_snapshot(snap),
             Err(PersistError::Incompatible(_))
         ));
+    }
+
+    /// A trained tiny model's snapshot with its simulation state edited by
+    /// `corrupt`; loading it must fail as incompatible, naming `what`.
+    fn assert_sim_state_rejected(
+        what: &str,
+        corrupt: impl FnOnce(&mut Matrix, &mut Matrix, &mut Vec<f64>),
+    ) {
+        let g = small_graph();
+        let mut model = CpGan::new(CpGanConfig {
+            epochs: 1,
+            sample_size: 36,
+            ..CpGanConfig::tiny()
+        });
+        model.fit(&g);
+        let mut snap = model.snapshot();
+        let Some((mu, sigma, degrees)) = snap.sim_state.as_mut() else {
+            panic!("a fitted model has simulation state");
+        };
+        corrupt(mu, sigma, degrees);
+        let Err(err) = CpGan::from_snapshot(snap) else {
+            panic!("{what}: corrupt simulation state must not load");
+        };
+        assert!(
+            matches!(err, PersistError::Incompatible(_)),
+            "{what}: {err:?}"
+        );
+        assert!(err.to_string().contains(what), "{what}: {err}");
+    }
+
+    #[test]
+    fn sim_state_with_too_few_degrees_rejected() {
+        assert_sim_state_rejected("degrees for", |_, _, d| {
+            d.pop();
+        });
+    }
+
+    #[test]
+    fn sim_state_with_too_many_degrees_rejected() {
+        assert_sim_state_rejected("degrees for", |_, _, d| d.push(1.0));
+    }
+
+    #[test]
+    fn sim_state_with_misshapen_sigma_rejected() {
+        assert_sim_state_rejected("sigma", |_, s, _| *s = Matrix::zeros(2, s.cols()));
+        assert_sim_state_rejected("sigma", |_, s, _| *s = Matrix::zeros(1, s.cols() + 1));
+    }
+
+    #[test]
+    fn sim_state_with_nan_degree_rejected() {
+        assert_sim_state_rejected("NaN", |_, _, d| d[3] = f64::NAN);
+    }
+
+    #[test]
+    fn sim_state_with_infinite_degree_rejected() {
+        assert_sim_state_rejected("inf", |_, _, d| d[0] = f64::INFINITY);
+    }
+
+    #[test]
+    fn sim_state_with_negative_degree_rejected() {
+        assert_sim_state_rejected("-2", |_, _, d| d[5] = -2.0);
+    }
+
+    #[test]
+    fn sim_state_with_fractional_degree_rejected() {
+        assert_sim_state_rejected("2.5", |_, _, d| d[7] = 2.5);
+    }
+
+    #[test]
+    fn sim_state_with_inexact_degree_sum_rejected() {
+        assert_sim_state_rejected("2^53", |_, _, d| d[1] = 2f64.powi(53));
     }
 
     #[test]

@@ -94,11 +94,13 @@ pub fn spectral_embedding(g: &Graph, d: usize, seed: u64) -> Vec<f32> {
     gram_schmidt(&mut cols, &mut reseed);
 
     // Each column's mat-vec is independent, so the d columns fan out across
-    // the pool (one column per chunk, each worker with its own scratch
-    // buffer); Gram–Schmidt couples the columns and stays serial.
+    // the pool, each with its own scratch buffer; a chunk takes enough
+    // columns (a mat-vec costs `n + 2m`) to pay for a helper thread.
+    // Gram–Schmidt couples the columns and stays serial.
     let iters = 30 + 2 * d;
+    let per_chunk = cpgan_parallel::items_per_chunk(n + 2 * g.m());
     for _ in 0..iters {
-        cpgan_parallel::par_chunks_mut(&mut cols, 1, |_, chunk| {
+        cpgan_parallel::par_chunks_mut(&mut cols, per_chunk, |_, chunk| {
             for col in chunk.iter_mut() {
                 let mut tmp = vec![0.0f64; n];
                 normalized_adj_matvec(g, &inv_sqrt_deg, col, &mut tmp);

@@ -88,7 +88,14 @@ fn mmd_bitwise_equal_across_thread_counts() {
 
 #[test]
 fn spectral_embedding_bitwise_equal_across_thread_counts() {
-    let g = fixture_graph(240);
+    // Large enough that the 6 column mat-vecs (n + 2m work each) split
+    // into at least two chunks of `cpgan_parallel::MIN_CHUNK_WORK`.
+    let g = fixture_graph(24_000);
+    let per_chunk = cpgan_parallel::items_per_chunk(g.n() + 2 * g.m());
+    assert!(
+        cpgan_parallel::chunk_count(6, per_chunk) >= 2,
+        "{per_chunk} columns a chunk"
+    );
     let serial = with_thread_count(1, || spectral::spectral_embedding(&g, 6, 17));
     for threads in [2, 4, 8] {
         let parallel = with_thread_count(threads, || spectral::spectral_embedding(&g, 6, 17));

@@ -13,18 +13,20 @@
 use crate::error::{nn_panic, NnError, ShapeError};
 use crate::kernels;
 use crate::memory;
-use cpgan_parallel::{grain_rows, par_chunks_mut, par_reduce};
+use cpgan_parallel::{items_per_chunk, par_chunks_mut, par_reduce};
 use std::fmt;
 
-/// Target number of `f32` elements per parallel chunk for elementwise ops.
-/// Chunk boundaries depend only on the matrix shape — never on the thread
-/// count — which is what keeps every kernel bit-identical across
-/// `CPGAN_THREADS` settings (see DESIGN.md §8).
-const PAR_GRAIN: usize = 4096;
+/// Elements per [`par_reduce`] chunk of [`Matrix::sum`] and
+/// [`Matrix::frobenius_norm`]. The chunk boundaries fix the order in which
+/// partial sums combine, so this grain is part of those reductions' bits
+/// and depends only on the matrix shape — never on the thread count (see
+/// DESIGN.md §8).
+const REDUCE_GRAIN: usize = 4096;
 
-/// Target output elements per parallel row block for the blocked matmul
-/// kernels — larger than [`PAR_GRAIN`] so each block amortizes its panel
-/// traffic through the KC×NC cache blocking (DESIGN.md §10).
+/// Output elements per parallel row block of the blocked matmul kernels:
+/// a block is the MC of the MC×KC×NC blocking, and each block streams the
+/// right operand's KC×NC panels once, so thin blocks lose the cache
+/// blocking (DESIGN.md §10).
 const MM_GRAIN: usize = 32 * 1024;
 
 /// Reports a kernel's achieved GFLOP/s (= flops per nanosecond) when
@@ -230,7 +232,7 @@ impl Matrix {
         let sw = cpgan_obs::enabled().then(cpgan_obs::Stopwatch::start);
         let (k, n) = (self.cols, other.cols);
         let mut out = Matrix::uninit(self.rows, n);
-        let block = grain_rows(MM_GRAIN, n);
+        let block = (MM_GRAIN / n.max(1)).max(1);
         par_chunks_mut(&mut out.data, block * n, |ci, chunk| {
             let r0 = ci * block;
             let rb = chunk.len() / n;
@@ -270,7 +272,7 @@ impl Matrix {
         // the blocked kernel keeps the k-ascending accumulation order.
         let (k, n, m) = (self.rows, self.cols, other.cols);
         let mut out = Matrix::uninit(n, m);
-        let block = grain_rows(MM_GRAIN, m);
+        let block = (MM_GRAIN / m.max(1)).max(1);
         par_chunks_mut(&mut out.data, block * m, |ci, chunk| {
             let r0 = ci * block;
             let rb = chunk.len() / m;
@@ -301,7 +303,7 @@ impl Matrix {
         let sw = cpgan_obs::enabled().then(cpgan_obs::Stopwatch::start);
         let (k, m) = (self.cols, other.rows);
         let mut out = Matrix::uninit(self.rows, m);
-        let block = grain_rows(MM_GRAIN, m);
+        let block = (MM_GRAIN / m.max(1)).max(1);
         par_chunks_mut(&mut out.data, block * m, |ci, chunk| {
             let r0 = ci * block;
             let rb = chunk.len() / m;
@@ -351,7 +353,7 @@ impl Matrix {
 
     /// In-place elementwise map.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
-        par_chunks_mut(&mut self.data, PAR_GRAIN, |_, chunk| {
+        par_chunks_mut(&mut self.data, items_per_chunk(1), |_, chunk| {
             for v in chunk.iter_mut() {
                 *v = f(*v);
             }
@@ -371,8 +373,9 @@ impl Matrix {
     ) -> Result<Matrix, NnError> {
         same_shape("zip", self, other)?;
         let mut out = self.clone();
-        par_chunks_mut(&mut out.data, PAR_GRAIN, |ci, chunk| {
-            let base = ci * PAR_GRAIN;
+        let grain = items_per_chunk(1);
+        par_chunks_mut(&mut out.data, grain, |ci, chunk| {
+            let base = ci * grain;
             for (k, o) in chunk.iter_mut().enumerate() {
                 *o = f(*o, other.data[base + k]);
             }
@@ -388,8 +391,9 @@ impl Matrix {
     /// Fallible [`Matrix::axpy`]: rejects shape mismatches.
     pub fn try_axpy(&mut self, alpha: f32, other: &Matrix) -> Result<(), NnError> {
         same_shape("axpy", self, other)?;
-        par_chunks_mut(&mut self.data, PAR_GRAIN, |ci, chunk| {
-            let base = ci * PAR_GRAIN;
+        let grain = items_per_chunk(1);
+        par_chunks_mut(&mut self.data, grain, |ci, chunk| {
+            let base = ci * grain;
             crate::kernels::axpy_lanes(alpha, &other.data[base..base + chunk.len()], chunk);
         });
         Ok(())
@@ -403,7 +407,7 @@ impl Matrix {
     pub fn sum(&self) -> f32 {
         par_reduce(
             self.data.len(),
-            PAR_GRAIN,
+            REDUCE_GRAIN,
             |r| crate::kernels::sum_lanes(&self.data[r]),
             |a, b| a + b,
         )
@@ -415,7 +419,7 @@ impl Matrix {
     pub fn frobenius_norm(&self) -> f32 {
         par_reduce(
             self.data.len(),
-            PAR_GRAIN,
+            REDUCE_GRAIN,
             |r| crate::kernels::sumsq_lanes(&self.data[r]),
             |a, b| a + b,
         )

@@ -110,6 +110,14 @@ impl Csr {
         self.values.len()
     }
 
+    /// Rows per parallel block of a product with a `d`-column dense
+    /// operand: each output row costs `d` multiply-adds per stored entry
+    /// of its CSR row (on average), plus `d` to write it.
+    fn row_block(&self, d: usize) -> usize {
+        let per_row = self.nnz().div_ceil(self.rows.max(1)) + 1;
+        cpgan_parallel::items_per_chunk(d.saturating_mul(per_row))
+    }
+
     /// Whether this matrix is square and symmetric (entry-wise).
     pub fn is_symmetric(&self) -> bool {
         if self.rows != self.cols {
@@ -158,9 +166,7 @@ impl Csr {
         if d == 0 {
             return out;
         }
-        // Fixed row blocks (~4096 output elements each), independent of the
-        // thread count.
-        let block = cpgan_parallel::grain_rows(4096, d);
+        let block = self.row_block(d);
         cpgan_parallel::par_chunks_mut(out.as_mut_slice(), block * d, |ci, chunk| {
             for (local, out_row) in chunk.chunks_mut(d).enumerate() {
                 let r = ci * block + local;
@@ -206,7 +212,7 @@ impl Csr {
         if d == 0 {
             return out;
         }
-        let block = cpgan_parallel::grain_rows(4096, d);
+        let block = self.row_block(d);
         cpgan_parallel::par_chunks_mut(out.as_mut_slice(), block * d, |ci, chunk| {
             for (local, out_row) in chunk.chunks_mut(d).enumerate() {
                 let r = ci * block + local;

@@ -491,7 +491,7 @@ impl Var {
             let mut out = x.clone();
             let d = out.cols();
             if d > 0 {
-                let block = cpgan_parallel::grain_rows(4096, d);
+                let block = cpgan_parallel::items_per_chunk(d);
                 cpgan_parallel::par_chunks_mut(out.as_mut_slice(), block * d, |_, chunk| {
                     for row in chunk.chunks_mut(d) {
                         crate::kernels::softmax_row(row);

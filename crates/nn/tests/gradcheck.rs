@@ -11,7 +11,7 @@
 
 use cpgan_graph::Graph;
 use cpgan_nn::{Csr, Matrix, Param, Tape, Var};
-use cpgan_parallel::with_thread_count;
+use cpgan_parallel::{chunk_count, items_per_chunk, with_thread_count};
 use std::sync::Arc;
 
 /// Checks `d loss / d param` analytically vs numerically.
@@ -242,80 +242,142 @@ fn grad_composite_gcn_like_stack() {
 //
 // The shapes above produce single-chunk kernels, so the checks exercise the
 // serial code path regardless of thread count. The checks below pin four
-// threads and route each op through intermediates wide enough to span
-// several parallel chunks (elementwise grain 4096; one output row per chunk
-// at width `WIDE`), so both the analytic backward pass and every numeric
-// forward evaluation run the threaded kernels. Parameters stay small — the
-// width comes from constants — to keep the finite-difference loop cheap.
+// threads and route each op through intermediates large enough that the
+// kernel under test spans at least two parallel chunks (each test asserts
+// it with `chunk_count`), so both the analytic backward pass and every
+// numeric forward evaluation run the threaded kernels. A constant sparse
+// mask keeps a loss over a wide intermediate to a few dozen terms, small
+// enough for f32 finite differences. Parameters stay small — the size
+// comes from constants — to keep the finite-difference loop cheap.
 
-/// Wide enough that a 2-row matrix spans multiple 4096-entry chunks.
+/// Width of the wide intermediates below.
 const WIDE: usize = 2100;
+
+/// Rows of a `WIDE`-wide dense product that make two row blocks.
+const ROWS: usize = 16;
+
+/// Row blocks of a dense product with `rows` output rows of width `n`
+/// (`Matrix`'s rule: 32k output elements a block).
+fn mm_blocks(rows: usize, n: usize) -> usize {
+    chunk_count(rows, (32 * 1024 / n).max(1))
+}
+
+/// A constant that is zero except at every 997th entry and the last one,
+/// so a loss through it sums a few terms from every chunk of a kernel.
+fn sparse_mask(t: &Tape, rows: usize, cols: usize) -> Var {
+    let last = rows * cols - 1;
+    t.constant(Matrix::from_fn(rows, cols, |r, c| {
+        let i = r * cols + c;
+        if i.is_multiple_of(997) || i == last {
+            2.0 + (i as f32).sin()
+        } else {
+            0.0
+        }
+    }))
+}
 
 #[test]
 fn grad_matmul_parallel_path() {
+    assert!(mm_blocks(ROWS, WIDE) >= 2);
     with_thread_count(4, || {
-        gradcheck("matmul_par", seed_matrix(2, 6, 0.15), |t, x| {
-            let w = t.constant(seed_matrix(6, WIDE, 0.6));
-            x.matmul(&w).square().sum_all()
+        // The forward x·W and the backward G·Vᵀ (matmul_nt) both make
+        // ROWS x WIDE outputs.
+        gradcheck("matmul_par", seed_matrix(ROWS, 3, 0.15), |t, x| {
+            let w = t.constant(seed_matrix(3, WIDE, 0.6));
+            let v = t.constant(seed_matrix(WIDE, 2, 0.35).map(|v| v / 32.0));
+            x.matmul(&w).matmul(&v).square().sum_all()
         });
-        gradcheck("matmul_rhs_par", seed_matrix(6, 4, 0.25), |t, x| {
-            // Left operand spans chunks; x's gradient flows through the
-            // parallel matmul_tn kernel.
-            let a = t.constant(seed_matrix(WIDE / 2, 6, 0.45));
-            a.matmul(x).square().sum_all()
+        // The backward Aᵀ·G of the outer product (matmul_tn) makes a
+        // ROWS x WIDE output.
+        gradcheck("matmul_rhs_par", seed_matrix(ROWS, 3, 0.25), |t, x| {
+            let w = t.constant(seed_matrix(3, WIDE, 0.45));
+            let a = t.constant(seed_matrix(2, ROWS, 0.8));
+            a.matmul(&x.matmul(&w))
+                .mul(&sparse_mask(t, 2, WIDE))
+                .square()
+                .sum_all()
         });
     });
 }
 
 #[test]
 fn grad_spmm_parallel_path() {
-    // 5 nodes x 840 features: CSR x dense splits into 4-row blocks.
-    let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]).unwrap();
+    // A 128-node ring at 840 features through CSR x dense, forward and
+    // transposed backward.
+    let (n, d) = (128usize, 840);
+    let ring = (0..n as u32).map(|i| (i, (i + 1) % n as u32));
+    let g = Graph::from_edges(n, ring).unwrap();
     let adj = Arc::new(Csr::normalized_adjacency(&g));
+    let row_work = d * (adj.nnz().div_ceil(n) + 1);
+    assert!(chunk_count(n, items_per_chunk(row_work)) >= 2);
     with_thread_count(4, move || {
-        gradcheck("spmm_par", seed_matrix(5, 3, 0.2), move |t, x| {
-            let w = t.constant(seed_matrix(3, 840, 0.7));
-            x.matmul(&w).spmm(&adj).square().sum_all()
+        gradcheck("spmm_par", seed_matrix(4, 3, 0.2), move |t, x| {
+            // Spread the small parameter over n rows, then widen it.
+            let e = t.constant(seed_matrix(n, 4, 0.5));
+            let w = t.constant(seed_matrix(3, d, 0.7));
+            e.matmul(x)
+                .matmul(&w)
+                .spmm(&adj)
+                .mul(&sparse_mask(t, n, d))
+                .square()
+                .sum_all()
         });
     });
 }
 
 #[test]
 fn grad_softmax_parallel_path() {
+    // 8-wide rows, a few more than one softmax chunk holds.
+    let rows = items_per_chunk(8) + 8;
+    assert!(chunk_count(rows, items_per_chunk(8)) >= 2);
     with_thread_count(4, || {
         gradcheck("softmax_par", seed_matrix(2, 8, 0.2), |t, x| {
-            let w = t.constant(seed_matrix(8, WIDE, 0.9));
-            let m = t.constant(seed_matrix(2, WIDE, 1.4));
-            x.matmul(&w).softmax_rows().mul(&m).sum_all()
+            let e = t.constant(seed_matrix(rows, 2, 0.9));
+            e.matmul(x)
+                .softmax_rows()
+                .mul(&sparse_mask(t, rows, 8))
+                .sum_all()
         });
     });
 }
 
 #[test]
 fn grad_concat_parallel_path() {
+    // The product feeding each concat spans two row blocks.
+    assert!(mm_blocks(2 * ROWS, WIDE / 2) >= 2);
     with_thread_count(4, || {
-        gradcheck("concat_cols_par", seed_matrix(2, 5, 0.1), |t, x| {
-            let w = t.constant(seed_matrix(5, WIDE / 2, 0.5));
-            let c = t.constant(seed_matrix(2, WIDE / 2, 0.8));
-            Var::concat_cols(&[x.matmul(&w), c]).square().sum_all()
+        gradcheck("concat_cols_par", seed_matrix(2 * ROWS, 2, 0.1), |t, x| {
+            let w = t.constant(seed_matrix(2, WIDE / 2, 0.5));
+            let c = t.constant(seed_matrix(2 * ROWS, WIDE / 2, 0.8));
+            Var::concat_cols(&[x.matmul(&w), c])
+                .mul(&sparse_mask(t, 2 * ROWS, WIDE))
+                .square()
+                .sum_all()
         });
-        gradcheck("concat_rows_par", seed_matrix(2, 5, 0.3), |t, x| {
-            let w = t.constant(seed_matrix(5, WIDE / 2, 0.2));
-            let c = t.constant(seed_matrix(2, WIDE / 2, 0.6));
-            Var::concat_rows(&[c, x.matmul(&w)]).square().sum_all()
+        gradcheck("concat_rows_par", seed_matrix(2 * ROWS, 2, 0.3), |t, x| {
+            let w = t.constant(seed_matrix(2, WIDE / 2, 0.2));
+            let c = t.constant(seed_matrix(2 * ROWS, WIDE / 2, 0.6));
+            Var::concat_rows(&[c, x.matmul(&w)])
+                .mul(&sparse_mask(t, 4 * ROWS, WIDE / 2))
+                .square()
+                .sum_all()
         });
     });
 }
 
 #[test]
 fn grad_reductions_parallel_path() {
+    assert!(mm_blocks(ROWS, WIDE) >= 2);
+    // `mean_all` sums over fixed 4096-entry reduction chunks.
+    assert!(chunk_count(ROWS * WIDE, 4096) >= 2);
     with_thread_count(4, || {
-        gradcheck("mean_all_par", seed_matrix(3, 7, 0.2), |t, x| {
-            let w = t.constant(seed_matrix(7, WIDE / 3, 0.4));
-            x.matmul(&w).square().mean_all()
+        // Scaled so the gradients stand well above the tolerance floor.
+        gradcheck("mean_all_par", seed_matrix(ROWS, 3, 0.2), |t, x| {
+            let w = t.constant(seed_matrix(3, WIDE, 0.4));
+            x.matmul(&w).square().mean_all().scale(100.0)
         });
-        gradcheck("mean_rows_par", seed_matrix(2, 6, 0.4), |t, x| {
-            let w = t.constant(seed_matrix(6, WIDE, 0.3));
+        gradcheck("mean_rows_par", seed_matrix(ROWS, 3, 0.4), |t, x| {
+            let w = t.constant(seed_matrix(3, WIDE, 0.3));
             x.matmul(&w).mean_rows().square().sum_all()
         });
     });
