@@ -17,45 +17,16 @@
 //! `blocked_serial / naive >= R` for `matmul` at 256x256x256 — the CI
 //! regression gate for the blocking/tiling work.
 
-use bench::BenchMeta;
+use bench::{best_of, Bench};
 use cpgan_nn::{kernels, Matrix};
 use cpgan_parallel::with_thread_count;
-use std::fmt::Write as _;
-use std::time::Instant;
+use serde::Serialize;
 
 const SIZES: &[usize] = &[64, 128, 256, 448];
 const GATE_SIZE: usize = 256;
 
-/// One timed call of `f`, in wall-clock seconds.
-fn time_once<R>(f: impl Fn() -> R) -> f64 {
-    let start = Instant::now();
-    std::hint::black_box(f());
-    start.elapsed().as_secs_f64()
-}
-
-/// Best-of-`reps` seconds for each of three kernels, with the reps
-/// *interleaved* (naive, blocked-serial, blocked-parallel, repeat) so CPU
-/// frequency drift on a busy box hits all three legs alike instead of
-/// skewing whichever ran last.
-fn best_of_interleaved<R>(
-    reps: usize,
-    naive: impl Fn() -> R,
-    serial: impl Fn() -> R,
-    parallel: impl Fn() -> R,
-) -> (f64, f64, f64) {
-    // Untimed warm-up: first-touch page faults and pool priming land here,
-    // not in the first timed rep.
-    std::hint::black_box(naive());
-    std::hint::black_box(serial());
-    std::hint::black_box(parallel());
-    let mut best = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps.max(1) {
-        best.0 = best.0.min(time_once(&naive));
-        best.1 = best.1.min(time_once(&serial));
-        best.2 = best.2.min(time_once(&parallel));
-    }
-    best
-}
+/// One way to compute `a · b` (or a transposed variant).
+type Product<'m> = &'m dyn Fn() -> Matrix;
 
 fn seed_matrix(rows: usize, cols: usize, offset: f32) -> Matrix {
     Matrix::from_fn(rows, cols, |r, c| {
@@ -63,30 +34,24 @@ fn seed_matrix(rows: usize, cols: usize, offset: f32) -> Matrix {
     })
 }
 
+#[derive(Serialize)]
 struct Row {
     kernel: &'static str,
     size: usize,
-    naive: f64,
-    blocked_serial: f64,
-    blocked_parallel: f64,
+    naive_gflops: f64,
+    blocked_serial_gflops: f64,
+    blocked_parallel_gflops: f64,
+    serial_ratio: f64,
+}
+
+#[derive(Serialize)]
+struct Report {
+    kernels: Vec<Row>,
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads = flag("--threads")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(hw)
-        .max(1);
-    let min_ratio = flag("--assert-min-ratio").and_then(|v| v.parse::<f64>().ok());
-    let meta = BenchMeta::capture(threads);
+    let mut bench = Bench::parallel("matmul");
+    let threads = bench.threads();
     eprintln!("dense matmul: naive vs blocked, serial + {threads} thread(s)...");
 
     let mut rows = Vec::new();
@@ -103,102 +68,48 @@ fn main() {
         } else {
             7
         };
-        type Pair<'m> = (
-            &'static str,
-            Box<dyn Fn() -> Matrix + 'm>,
-            Box<dyn Fn() -> Matrix + 'm>,
-        );
-        let variants: Vec<Pair> = vec![
-            (
-                "matmul",
-                Box::new(|| kernels::matmul_naive(&a, &b)),
-                Box::new(|| a.matmul(&b)),
-            ),
-            (
-                "matmul_tn",
-                Box::new(|| kernels::matmul_tn_naive(&a, &b)),
-                Box::new(|| a.matmul_tn(&b)),
-            ),
-            (
-                "matmul_nt",
-                Box::new(|| kernels::matmul_nt_naive(&a, &b)),
-                Box::new(|| a.matmul_nt(&b)),
-            ),
+        let variants: [(&str, Product, Product); 3] = [
+            ("matmul", &|| kernels::matmul_naive(&a, &b), &|| {
+                a.matmul(&b)
+            }),
+            ("matmul_tn", &|| kernels::matmul_tn_naive(&a, &b), &|| {
+                a.matmul_tn(&b)
+            }),
+            ("matmul_nt", &|| kernels::matmul_nt_naive(&a, &b), &|| {
+                a.matmul_nt(&b)
+            }),
         ];
-        for (kernel, naive_f, blocked_f) in &variants {
-            let (t_naive, t_serial, t_parallel) = best_of_interleaved(
+        for (kernel, naive_f, blocked_f) in variants {
+            let secs = best_of(
                 reps,
-                naive_f,
-                || with_thread_count(1, blocked_f),
-                || with_thread_count(threads, blocked_f),
+                [
+                    &mut || naive_f(),
+                    &mut || with_thread_count(1, blocked_f),
+                    &mut || with_thread_count(threads, blocked_f),
+                ],
             );
-            let naive = flops / t_naive.max(1e-12) / 1e9;
-            let blocked_serial = flops / t_serial.max(1e-12) / 1e9;
-            let blocked_parallel = flops / t_parallel.max(1e-12) / 1e9;
+            let [naive, serial, parallel] = secs.map(|t| flops / t.max(1e-12) / 1e9);
+            let ratio = serial / naive.max(1e-12);
             eprintln!(
-                "{kernel:>10} {s:>4}: naive {naive:7.3}  blocked(1T) {blocked_serial:7.3}  \
-                 blocked({threads}T) {blocked_parallel:7.3} GFLOP/s  \
-                 ratio {:.2}x",
-                blocked_serial / naive.max(1e-12)
+                "{kernel:>10} {s:>4}: naive {naive:7.3}  blocked(1T) {serial:7.3}  \
+                 blocked({threads}T) {parallel:7.3} GFLOP/s  ratio {ratio:.2}x"
             );
+            if kernel == "matmul" && s == GATE_SIZE {
+                bench.gate(
+                    "--assert-min-ratio",
+                    &format!("matmul blocked/naive ratio at {GATE_SIZE}^3"),
+                    ratio,
+                );
+            }
             rows.push(Row {
                 kernel,
                 size: s,
-                naive,
-                blocked_serial,
-                blocked_parallel,
+                naive_gflops: naive,
+                blocked_serial_gflops: serial,
+                blocked_parallel_gflops: parallel,
+                serial_ratio: ratio,
             });
         }
     }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&meta.json_fields("  "));
-    json.push_str("  \"kernels\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"kernel\": \"{}\", \"size\": {}, \"naive_gflops\": {:.4}, \
-             \"blocked_serial_gflops\": {:.4}, \"blocked_parallel_gflops\": {:.4}, \
-             \"serial_ratio\": {:.3}}}{comma}",
-            r.kernel,
-            r.size,
-            r.naive,
-            r.blocked_serial,
-            r.blocked_parallel,
-            r.blocked_serial / r.naive.max(1e-12),
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let out = "results/BENCH_matmul.json";
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(out, &json)) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out}");
-
-    if let Some(min) = min_ratio {
-        let gate = rows
-            .iter()
-            .find(|r| r.kernel == "matmul" && r.size == GATE_SIZE);
-        match gate {
-            Some(r) => {
-                let ratio = r.blocked_serial / r.naive.max(1e-12);
-                if ratio < min {
-                    eprintln!(
-                        "FAIL: blocked/naive ratio {ratio:.2} < {min:.2} \
-                         for matmul at {GATE_SIZE}^3"
-                    );
-                    std::process::exit(1);
-                }
-                eprintln!("gate OK: blocked/naive {ratio:.2} >= {min:.2} at {GATE_SIZE}^3");
-            }
-            None => {
-                eprintln!("FAIL: no matmul row at gate size {GATE_SIZE}");
-                std::process::exit(1);
-            }
-        }
-    }
+    bench.finish(&Report { kernels: rows });
 }

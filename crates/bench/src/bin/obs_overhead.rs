@@ -12,32 +12,47 @@
 //! wall-clock. With `--assert-max-overhead-pct` the binary exits non-zero when
 //! the estimated overhead exceeds the bound, which lets CI gate regressions.
 
-use bench::BenchMeta;
+use bench::{best_of, Bench};
 use cpgan_nn::Matrix;
-use std::fmt::Write as _;
-use std::time::Instant;
+use serde::Serialize;
 
-/// Per-op nanoseconds for `f`, best of `reps` timed loops of `iters` calls.
-fn ns_per_op(reps: usize, iters: u64, f: impl Fn()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let total = start.elapsed().as_nanos() as f64;
-        best = best.min(total / iters as f64);
-    }
-    best
+const ITERS: u64 = 4_000_000;
+const REPS: usize = 5;
+
+/// Per-op nanoseconds for `f`: best of `REPS` timed loops of `iters` calls,
+/// after one untimed loop.
+fn ns_per_op(iters: u64, mut f: impl FnMut()) -> f64 {
+    let [secs] = best_of(
+        REPS,
+        [&mut || {
+            for _ in 0..iters {
+                f();
+            }
+        }],
+    );
+    secs * 1e9 / iters as f64
+}
+
+#[derive(Serialize)]
+struct Guards {
+    enabled_check: f64,
+    span_guard: f64,
+    counter_add: f64,
+    hist_record: f64,
+    series_record: f64,
+}
+
+#[derive(Serialize)]
+struct Report {
+    guards_disabled_ns_per_op: Guards,
+    kernel: &'static str,
+    kernel_ns_per_call: f64,
+    guards_per_kernel_call: u32,
+    overhead_pct: f64,
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let max_pct = args
-        .iter()
-        .position(|a| a == "--assert-max-overhead-pct")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok());
+    let mut bench = Bench::fixed("obs_overhead", 1);
 
     // The whole point is the disabled path; force it regardless of the
     // ambient environment so the numbers are what production code pays.
@@ -47,92 +62,60 @@ fn main() {
         "obs must be disabled for the overhead measurement"
     );
 
-    const ITERS: u64 = 4_000_000;
-    const REPS: usize = 5;
-    let guards: Vec<(&str, f64)> = vec![
-        (
-            "enabled_check",
-            ns_per_op(REPS, ITERS, || {
-                std::hint::black_box(cpgan_obs::enabled());
-            }),
-        ),
-        (
-            "span_guard",
-            ns_per_op(REPS, ITERS, || {
-                let g = cpgan_obs::span(std::hint::black_box("bench.noop"));
-                std::hint::black_box(&g);
-            }),
-        ),
-        (
-            "counter_add",
-            ns_per_op(REPS, ITERS, || {
-                cpgan_obs::counter_add("bench.noop", std::hint::black_box(1));
-            }),
-        ),
-        (
-            "hist_record",
-            ns_per_op(REPS, ITERS, || {
-                cpgan_obs::hist_record("bench.noop", std::hint::black_box(2.0));
-            }),
-        ),
-        (
-            "series_record",
-            ns_per_op(REPS, ITERS, || {
-                cpgan_obs::series_record("bench.noop", std::hint::black_box(0), 1.0);
-            }),
-        ),
-    ];
+    let guards = Guards {
+        enabled_check: ns_per_op(ITERS, || {
+            std::hint::black_box(cpgan_obs::enabled());
+        }),
+        span_guard: ns_per_op(ITERS, || {
+            let g = cpgan_obs::span(std::hint::black_box("bench.noop"));
+            std::hint::black_box(&g);
+        }),
+        counter_add: ns_per_op(ITERS, || {
+            cpgan_obs::counter_add("bench.noop", std::hint::black_box(1));
+        }),
+        hist_record: ns_per_op(ITERS, || {
+            cpgan_obs::hist_record("bench.noop", std::hint::black_box(2.0));
+        }),
+        series_record: ns_per_op(ITERS, || {
+            cpgan_obs::series_record("bench.noop", std::hint::black_box(0), 1.0);
+        }),
+    };
 
     // Representative instrumented kernel: a 256x256 matmul crosses one span
     // guard and one histogram guard per call (see cpgan-nn::matrix).
     let a = Matrix::from_fn(256, 256, |r, c| ((r * 256 + c) as f32 * 0.37).sin());
     let b = Matrix::from_fn(256, 256, |r, c| ((r * 256 + c) as f32 * 0.53).cos());
-    let kernel_ns = ns_per_op(REPS, 20, || {
+    let kernel_ns = ns_per_op(20, || {
         std::hint::black_box(a.matmul(&b));
     });
 
-    let span_ns = guards[1].1;
-    let hist_ns = guards[3].1;
-    let per_call_guard_ns = span_ns + hist_ns;
+    let per_call_guard_ns = guards.span_guard + guards.hist_record;
     let overhead_pct = 100.0 * per_call_guard_ns / kernel_ns.max(1.0);
 
-    for (name, ns) in &guards {
-        eprintln!("{name:>14}: {ns:.2} ns/op (disabled)");
-    }
-    eprintln!("matmul 256x256: {:.0} ns/call", kernel_ns);
+    eprintln!(
+        "disabled ns/op: enabled_check {:.2}, span_guard {:.2}, counter_add {:.2}, \
+         hist_record {:.2}, series_record {:.2}",
+        guards.enabled_check,
+        guards.span_guard,
+        guards.counter_add,
+        guards.hist_record,
+        guards.series_record
+    );
+    eprintln!("matmul 256x256: {kernel_ns:.0} ns/call");
     eprintln!(
         "estimated disabled-mode overhead: {per_call_guard_ns:.2} ns across \
          2 guards per call = {overhead_pct:.4}% of kernel wall-clock"
     );
-
-    let meta = BenchMeta::capture(1);
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&meta.json_fields("  "));
-    json.push_str("  \"guards_disabled_ns_per_op\": {\n");
-    for (i, (name, ns)) in guards.iter().enumerate() {
-        let comma = if i + 1 < guards.len() { "," } else { "" };
-        let _ = writeln!(json, "    \"{name}\": {ns:.3}{comma}");
-    }
-    json.push_str("  },\n");
-    let _ = writeln!(json, "  \"kernel\": \"matmul_256x256\",");
-    let _ = writeln!(json, "  \"kernel_ns_per_call\": {kernel_ns:.1},");
-    let _ = writeln!(json, "  \"guards_per_kernel_call\": 2,");
-    let _ = writeln!(json, "  \"overhead_pct\": {overhead_pct:.5}");
-    json.push_str("}\n");
-
-    let out = "results/BENCH_obs_overhead.json";
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(out, &json)) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out}");
-
-    if let Some(bound) = max_pct {
-        if overhead_pct > bound {
-            eprintln!("FAIL: overhead {overhead_pct:.4}% exceeds bound {bound}%");
-            std::process::exit(1);
-        }
-        eprintln!("OK: overhead {overhead_pct:.4}% within bound {bound}%");
-    }
+    bench.gate(
+        "--assert-max-overhead-pct",
+        "disabled-mode overhead %",
+        overhead_pct,
+    );
+    bench.finish(&Report {
+        guards_disabled_ns_per_op: guards,
+        kernel: "matmul_256x256",
+        kernel_ns_per_call: kernel_ns,
+        guards_per_kernel_call: 2,
+        overhead_pct,
+    });
 }

@@ -15,24 +15,35 @@
 //! states the memory budget it ran under; `--max-nodes` trims the list for
 //! CI, and `--assert-min-nodes-per-sec` gates regressions (exit 1).
 
-use bench::BenchMeta;
+use bench::{fail, time, Bench};
 use cpgan::CpGanConfig;
 use cpgan_data::planted::{self, PlantedConfig};
 use cpgan_parallel::with_thread_count;
-use cpgan_shard::{ShardConfig, ShardPipeline, ShardReport};
-use std::fmt::Write as _;
-use std::time::Instant;
+use cpgan_shard::{ShardConfig, ShardPipeline};
+use serde::Serialize;
 
 /// Per-wave scheduling budget every leg runs under (stated in the report).
 const MEMORY_BUDGET_BYTES: usize = 512 << 20; // 512 MiB
 
-struct LegResult {
+#[derive(Serialize)]
+struct Leg {
     nodes: usize,
     edges_in: usize,
     edges_out: usize,
-    report: ShardReport,
+    shards: usize,
+    waves: usize,
     secs: f64,
-    measured_peak_bytes: usize,
+    nodes_per_sec: f64,
+    edges_per_sec: f64,
+    scheduled_peak_bytes: usize,
+    measured_nn_peak_bytes: usize,
+    within_budget: bool,
+}
+
+#[derive(Serialize)]
+struct Report {
+    memory_budget_bytes: usize,
+    legs: Vec<Leg>,
 }
 
 /// Planted graph sized so community scale roughly matches the shard budget.
@@ -61,172 +72,83 @@ fn leg_model() -> CpGanConfig {
     }
 }
 
-fn run_leg(n: usize) -> Option<LegResult> {
+fn run_leg(n: usize) -> Leg {
     let g = leg_graph(n, 0xBEEF ^ n as u64);
-    let pipeline = match ShardPipeline::new(ShardConfig {
+    let pipeline = ShardPipeline::new(ShardConfig {
         max_shard_size: 2000,
         memory_budget_bytes: MEMORY_BUDGET_BYTES,
         model: leg_model(),
         seed: 42,
         inter_pair_fraction: 1.0,
-    }) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("pipeline config rejected: {e}");
-            return None;
-        }
-    };
+    })
+    .unwrap_or_else(|e| fail(&format!("pipeline config rejected: {e}")));
     cpgan_nn::memory::reset_peak();
-    let start = Instant::now();
-    let report = match pipeline.run(&g) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("pipeline failed at n={n}: {e}");
-            return None;
-        }
-    };
-    let secs = start.elapsed().as_secs_f64();
-    Some(LegResult {
+    let (report, secs) = time(|| pipeline.run(&g));
+    let report = report.unwrap_or_else(|e| fail(&format!("pipeline failed at n={n}: {e}")));
+    let edges_out = report.graph.m();
+    Leg {
         nodes: n,
         edges_in: g.m(),
-        edges_out: report.graph.m(),
-        measured_peak_bytes: cpgan_nn::memory::peak_bytes(),
-        report,
+        edges_out,
+        shards: report.shards,
+        waves: report.waves,
         secs,
-    })
+        nodes_per_sec: n as f64 / secs,
+        edges_per_sec: edges_out as f64 / secs,
+        scheduled_peak_bytes: report.peak_estimate_bytes,
+        measured_nn_peak_bytes: cpgan_nn::memory::peak_bytes(),
+        within_budget: report.peak_estimate_bytes <= MEMORY_BUDGET_BYTES,
+    }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let flag_threads = flag("--threads").and_then(|v| v.parse::<usize>().ok());
-    // Same convention as BENCH_parallel: on a single-core box the default
-    // "parallel" fan-out silently degenerates to serial execution, so force
-    // oversubscription and flag the run — throughput then includes
-    // scheduling overhead, not scaling headroom.
-    let (threads, warning) = match flag_threads {
-        Some(t) => (t.max(1), None),
-        None if hw > 1 => (hw, None),
-        None => (
-            4,
-            Some(
-                "available_parallelism() == 1: shard fan-out forced to 4 \
-                 oversubscribed threads; throughput includes scheduling \
-                 overhead, not parallel speedup",
-            ),
-        ),
-    };
-    let max_nodes = flag("--max-nodes")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(usize::MAX);
-    let min_nps = flag("--assert-min-nodes-per-sec").and_then(|v| v.parse::<f64>().ok());
-
-    let meta = BenchMeta::capture(threads);
-    if let Some(w) = warning {
-        eprintln!("WARNING: {w}");
-    }
+    let mut bench = Bench::parallel("scale");
+    let threads = bench.threads();
+    let max_nodes = bench.flag("--max-nodes").unwrap_or(usize::MAX);
     eprintln!(
         "sharded-pipeline scale bench at {threads} thread(s), \
          {} MiB wave budget...",
         MEMORY_BUDGET_BYTES >> 20
     );
 
-    let mut results = Vec::new();
+    let mut legs = Vec::new();
     for n in [10_000usize, 100_000, 500_000] {
         if n > max_nodes {
             eprintln!("skipping n={n} (--max-nodes {max_nodes})");
             continue;
         }
-        let Some(leg) = with_thread_count(threads, || run_leg(n)) else {
-            std::process::exit(1);
-        };
+        let leg = with_thread_count(threads, || run_leg(n));
         eprintln!(
             "n={:>7}: {:>7.2}s  {:>9.0} nodes/s  {:>9.0} edges/s  \
              {} shards / {} waves  sched peak {} MiB, measured nn peak {} MiB",
             leg.nodes,
             leg.secs,
-            leg.nodes as f64 / leg.secs,
-            leg.edges_out as f64 / leg.secs,
-            leg.report.shards,
-            leg.report.waves,
-            leg.report.peak_estimate_bytes >> 20,
-            leg.measured_peak_bytes >> 20,
+            leg.nodes_per_sec,
+            leg.edges_per_sec,
+            leg.shards,
+            leg.waves,
+            leg.scheduled_peak_bytes >> 20,
+            leg.measured_nn_peak_bytes >> 20,
         );
-        if leg.report.peak_estimate_bytes > MEMORY_BUDGET_BYTES {
+        if !leg.within_budget {
             eprintln!(
                 "NOTE: scheduled peak exceeds the wave budget at n={} — an \
                  indivisible shard was larger than the budget",
                 leg.nodes
             );
         }
-        results.push(leg);
+        legs.push(leg);
     }
-
-    if results.is_empty() {
-        eprintln!("no legs executed (check --max-nodes)");
-        std::process::exit(1);
+    if legs.is_empty() {
+        fail("no legs executed (check --max-nodes)");
     }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&meta.json_fields("  "));
-    match warning {
-        Some(w) => {
-            let _ = writeln!(json, "  \"warning\": \"{w}\",");
-        }
-        None => json.push_str("  \"warning\": null,\n"),
-    }
-    let _ = writeln!(json, "  \"memory_budget_bytes\": {MEMORY_BUDGET_BYTES},");
-    json.push_str("  \"legs\": [\n");
-    for (i, leg) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"nodes\": {}, \"edges_in\": {}, \"edges_out\": {}, \
-             \"shards\": {}, \"waves\": {}, \"secs\": {:.4}, \
-             \"nodes_per_sec\": {:.1}, \"edges_per_sec\": {:.1}, \
-             \"scheduled_peak_bytes\": {}, \"measured_nn_peak_bytes\": {}, \
-             \"within_budget\": {}}}{comma}",
-            leg.nodes,
-            leg.edges_in,
-            leg.edges_out,
-            leg.report.shards,
-            leg.report.waves,
-            leg.secs,
-            leg.nodes as f64 / leg.secs,
-            leg.edges_out as f64 / leg.secs,
-            leg.report.peak_estimate_bytes,
-            leg.measured_peak_bytes,
-            leg.report.peak_estimate_bytes <= MEMORY_BUDGET_BYTES,
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let out = "results/BENCH_scale.json";
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(out, &json)) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out}");
-
-    if let Some(min) = min_nps {
-        for leg in &results {
-            let nps = leg.nodes as f64 / leg.secs;
-            if nps < min {
-                eprintln!(
-                    "FAIL: n={} ran at {:.0} nodes/s, below the {min:.0} floor",
-                    leg.nodes, nps
-                );
-                std::process::exit(1);
-            }
-        }
-        eprintln!("throughput gate passed (>= {min:.0} nodes/s on every leg)");
-    }
+    let slowest = legs
+        .iter()
+        .map(|l| l.nodes_per_sec)
+        .fold(f64::INFINITY, f64::min);
+    bench.gate("--assert-min-nodes-per-sec", "slowest leg nodes/s", slowest);
+    bench.finish(&Report {
+        memory_budget_bytes: MEMORY_BUDGET_BYTES,
+        legs,
+    });
 }

@@ -25,13 +25,13 @@
 //! on the `keepalive_c128_cached` scenario (exit 1 on violation) after
 //! the report is written, so the artifact survives a failed gate.
 
-use bench::BenchMeta;
+use bench::{fail, time, Bench};
 use cpgan::{CpGan, CpGanConfig};
 use cpgan_graph::Graph;
 use cpgan_parallel::{with_thread_count, Pool};
 use cpgan_serve::http::parse_reply;
 use cpgan_serve::{ModelRegistry, ServeConfig, Server};
-use std::fmt::Write as _;
+use serde::Serialize;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -50,11 +50,6 @@ const SEED_POOL: u64 = 16;
 /// visible without digging through git history.
 const PR5_CLOSE_RPS: f64 = 450.0;
 
-fn die(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(1);
-}
-
 /// The 3-community fixture graph used across the test suite.
 fn bench_graph() -> Graph {
     let mut edges = Vec::new();
@@ -69,7 +64,7 @@ fn bench_graph() -> Graph {
         }
         edges.push((base, (base + 12) % 36));
     }
-    Graph::from_edges(36, edges).unwrap_or_else(|e| die(&format!("bench graph: {e}")))
+    Graph::from_edges(36, edges).unwrap_or_else(|e| fail(&format!("bench graph: {e}")))
 }
 
 /// How a client picks seeds and treats connections.
@@ -205,8 +200,9 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
+#[derive(Serialize)]
 struct ScenarioRow {
-    name: String,
+    name: &'static str,
     clients: usize,
     workers: usize,
     queue_depth: usize,
@@ -238,10 +234,10 @@ struct Scenario {
 fn run_scenario(sc: &Scenario, model: &CpGan, window: Duration) -> ScenarioRow {
     let mut registry = ModelRegistry::new();
     let copy = CpGan::from_snapshot(model.snapshot())
-        .unwrap_or_else(|e| die(&format!("model snapshot round-trip: {e}")));
+        .unwrap_or_else(|e| fail(&format!("model snapshot round-trip: {e}")));
     registry
         .insert("bench", copy)
-        .unwrap_or_else(|e| die(&format!("registry: {e}")));
+        .unwrap_or_else(|e| fail(&format!("registry: {e}")));
     let server = Server::start(
         ServeConfig {
             addr: "127.0.0.1:0".into(),
@@ -259,7 +255,7 @@ fn run_scenario(sc: &Scenario, model: &CpGan, window: Duration) -> ScenarioRow {
         },
         registry,
     )
-    .unwrap_or_else(|e| die(&format!("server start: {e}")));
+    .unwrap_or_else(|e| fail(&format!("server start: {e}")));
     let addr = server.addr();
 
     if sc.mode == Mode::CachedKeepAlive {
@@ -267,20 +263,20 @@ fn run_scenario(sc: &Scenario, model: &CpGan, window: Duration) -> ScenarioRow {
         let mut warm = HttpClient::new(addr, false);
         for seed in 0..SEED_POOL {
             if let Err(e) = warm.request(seed) {
-                die(&format!("cache warm-up failed: {e}"));
+                fail(&format!("cache warm-up failed: {e}"));
             }
         }
     }
 
-    let wall = Instant::now();
     let clients = sc.clients;
     let mode = sc.mode;
-    let per_client = with_thread_count(clients, || {
-        Pool::global().par_map_owned((0..clients).collect(), move |_, c| {
-            run_client(addr, c, mode, window)
+    let (per_client, duration_s) = time(|| {
+        with_thread_count(clients, || {
+            Pool::global().par_map_owned((0..clients).collect(), move |_, c| {
+                run_client(addr, c, mode, window)
+            })
         })
     });
-    let duration_s = wall.elapsed().as_secs_f64();
     server.shutdown();
 
     let mut all = ClientStats::default();
@@ -294,7 +290,7 @@ fn run_scenario(sc: &Scenario, model: &CpGan, window: Duration) -> ScenarioRow {
     all.latencies_s.sort_unstable_by(f64::total_cmp);
     let requests = all.ok + all.rejected + all.timed_out + all.errors;
     ScenarioRow {
-        name: sc.name.to_string(),
+        name: sc.name,
         clients: sc.clients,
         workers: sc.workers,
         queue_depth: sc.queue_depth,
@@ -358,39 +354,26 @@ const SCENARIOS: &[Scenario] = &[
     },
 ];
 
+#[derive(Serialize)]
+struct Report {
+    fast: bool,
+    gen_nodes: usize,
+    gen_edges: usize,
+    baseline_pr5_close_rps: f64,
+    cached_over_cold: f64,
+    keepalive_over_close: f64,
+    keepalive_over_pr5_baseline: f64,
+    scenarios: Vec<ScenarioRow>,
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let fast = args.iter().any(|a| a == "--fast");
-    let min_rps = flag("--assert-min-rps").and_then(|v| v.parse::<f64>().ok());
-    let max_p99_ms = flag("--assert-max-p99-ms").and_then(|v| v.parse::<f64>().ok());
-    let min_cached_over_cold =
-        flag("--assert-min-cached-over-cold").and_then(|v| v.parse::<f64>().ok());
+    let mut bench = Bench::fixed("serve", WORKERS);
+    let fast = bench.switch("--fast");
     let window = if fast {
         Duration::from_millis(400)
     } else {
         Duration::from_millis(2_000)
     };
-    let meta = BenchMeta::capture(WORKERS);
-    // Same convention as BENCH_scale: on a single-core box the client
-    // fan-out oversubscribes the one hardware thread, so latency then
-    // includes scheduling overhead, not connection-layer cost.
-    let warning = if meta.available_parallelism == 1 {
-        Some(
-            "available_parallelism() == 1: closed-loop clients are \
-             oversubscribed onto one hardware thread; latency includes \
-             scheduling overhead, not connection-layer cost",
-        )
-    } else {
-        None
-    };
-    if let Some(w) = warning {
-        eprintln!("WARNING: {w}");
-    }
 
     eprintln!("fitting bench model...");
     let g = bench_graph();
@@ -427,15 +410,12 @@ fn main() {
         rows.push(row);
     }
 
-    let rps_of = |name: &str| {
-        rows.iter()
-            .find(|r| r.name == name)
-            .map(|r| r.throughput_rps)
-            .unwrap_or(0.0)
-    };
+    let row = |name: &str| rows.iter().find(|r| r.name == name);
+    let rps_of = |name: &str| row(name).map_or(0.0, |r| r.throughput_rps);
     let close_rps = rps_of("close_c4");
     let cold_rps = rps_of("keepalive_c128_cold");
     let cached_rps = rps_of("keepalive_c128_cached");
+    let cached_p99_ms = row("keepalive_c128_cached").map_or(f64::INFINITY, |r| r.p99_ms);
     let cached_over_cold = cached_rps / cold_rps.max(1e-9);
     let keepalive_over_close = cached_rps / close_rps.max(1e-9);
     let keepalive_over_pr5 = cached_rps / PR5_CLOSE_RPS;
@@ -443,92 +423,25 @@ fn main() {
         "ratios: cached/cold {cached_over_cold:.1}x, keepalive/close {keepalive_over_close:.1}x, \
          vs PR-5 baseline {keepalive_over_pr5:.1}x"
     );
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&meta.json_fields("  "));
-    let _ = writeln!(json, "  \"fast\": {fast},");
-    match warning {
-        Some(w) => {
-            let _ = writeln!(json, "  \"warning\": \"{w}\",");
-        }
-        None => json.push_str("  \"warning\": null,\n"),
-    }
-    let _ = writeln!(json, "  \"gen_nodes\": {GEN_NODES},");
-    let _ = writeln!(json, "  \"gen_edges\": {GEN_EDGES},");
-    let _ = writeln!(json, "  \"baseline_pr5_close_rps\": {PR5_CLOSE_RPS:.1},");
-    let _ = writeln!(json, "  \"cached_over_cold\": {cached_over_cold:.2},");
-    let _ = writeln!(
-        json,
-        "  \"keepalive_over_close\": {keepalive_over_close:.2},"
+    bench.gate("--assert-min-rps", "keepalive_c128_cached rps", cached_rps);
+    bench.gate(
+        "--assert-max-p99-ms",
+        "keepalive_c128_cached p99 ms",
+        cached_p99_ms,
     );
-    let _ = writeln!(
-        json,
-        "  \"keepalive_over_pr5_baseline\": {keepalive_over_pr5:.2},"
+    bench.gate(
+        "--assert-min-cached-over-cold",
+        "cached/cold rps ratio",
+        cached_over_cold,
     );
-    json.push_str("  \"scenarios\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"clients\": {}, \"workers\": {}, \
-             \"queue_depth\": {}, \"cache\": {}, \"duration_s\": {:.3}, \
-             \"requests\": {}, \"ok\": {}, \"rejected\": {}, \"timed_out\": {}, \
-             \"errors\": {}, \"throughput_rps\": {:.2}, \"p50_ms\": {:.3}, \
-             \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"rejection_rate\": {:.4}}}{comma}",
-            r.name,
-            r.clients,
-            r.workers,
-            r.queue_depth,
-            r.cache,
-            r.duration_s,
-            r.requests,
-            r.ok,
-            r.rejected,
-            r.timed_out,
-            r.errors,
-            r.throughput_rps,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-            r.rejection_rate,
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let out = "results/BENCH_serve.json";
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(out, &json)) {
-        die(&format!("failed to write {out}: {e}"));
-    }
-    eprintln!("wrote {out}");
-
-    // Gates run after the report is written so the artifact survives a
-    // failed assertion (same order as the scale bench).
-    if let Some(min) = min_rps {
-        if cached_rps < min {
-            die(&format!(
-                "GATE FAILED: keepalive_c128_cached {cached_rps:.0} rps < --assert-min-rps {min}"
-            ));
-        }
-    }
-    if let Some(max) = max_p99_ms {
-        let p99 = rows
-            .iter()
-            .find(|r| r.name == "keepalive_c128_cached")
-            .map(|r| r.p99_ms)
-            .unwrap_or(f64::INFINITY);
-        if p99 > max {
-            die(&format!(
-                "GATE FAILED: keepalive_c128_cached p99 {p99:.2}ms > --assert-max-p99-ms {max}"
-            ));
-        }
-    }
-    if let Some(min) = min_cached_over_cold {
-        if cached_over_cold < min {
-            die(&format!(
-                "GATE FAILED: cached/cold ratio {cached_over_cold:.2} < \
-                 --assert-min-cached-over-cold {min}"
-            ));
-        }
-    }
+    bench.finish(&Report {
+        fast,
+        gen_nodes: GEN_NODES,
+        gen_edges: GEN_EDGES,
+        baseline_pr5_close_rps: PR5_CLOSE_RPS,
+        cached_over_cold,
+        keepalive_over_close,
+        keepalive_over_pr5_baseline: keepalive_over_pr5,
+        scenarios: rows,
+    });
 }

@@ -20,7 +20,7 @@
 //! `fused_serial / unfused_serial >= R` — the CI regression gate for the
 //! fusion/batching work.
 
-use bench::BenchMeta;
+use bench::{best_of, Bench};
 use cpgan_deep::common;
 use cpgan_graph::sampling::SubgraphSampler;
 use cpgan_nn::layers::Linear;
@@ -29,9 +29,8 @@ use cpgan_nn::{Csr, FusedAct, Matrix, ParamStore, Tape, Var};
 use cpgan_parallel::with_thread_count;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
+use serde::Serialize;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Fixture half-block size (full graph has `2 * BLOCK` nodes).
 const BLOCK: usize = 200;
@@ -141,42 +140,34 @@ fn run_fused(g: &cpgan_graph::Graph, feats: &Matrix, model: &Model, opt: &mut Ad
     }
 }
 
-fn time_once(f: impl FnOnce()) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64()
+#[derive(Serialize)]
+struct Config {
+    nodes: usize,
+    sample_size: usize,
+    batch_size: usize,
+    feature_dim: usize,
+    hidden_dim: usize,
+    latent_dim: usize,
+    epochs_per_rep: usize,
+}
+
+#[derive(Serialize)]
+struct Throughput {
+    unfused_serial_eps: f64,
+    fused_serial_eps: f64,
+    fused_parallel_eps: f64,
+    fused_vs_unfused_ratio: f64,
+}
+
+#[derive(Serialize)]
+struct Report {
+    config: Config,
+    train: Throughput,
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let flag_threads = flag("--threads").and_then(|v| v.parse::<usize>().ok());
-    // Same single-core convention as the parallel bench: the parallel leg is
-    // informational, so force an oversubscribed count and flag it rather
-    // than silently re-measuring the serial figure.
-    let (threads, warning) = match flag_threads {
-        Some(t) => (t.max(1), None),
-        None if hw > 1 => (hw, None),
-        None => (
-            4,
-            Some(
-                "available_parallelism() == 1: fused parallel leg forced to 4 \
-                 oversubscribed threads; its figure measures overhead, not scaling",
-            ),
-        ),
-    };
-    let min_ratio = flag("--assert-min-ratio").and_then(|v| v.parse::<f64>().ok());
-    let meta = BenchMeta::capture(threads);
-    if let Some(w) = warning {
-        eprintln!("WARNING: {w}");
-    }
+    let mut bench = Bench::parallel("train");
+    let threads = bench.threads();
     eprintln!(
         "subgraph training: unfused/unbatched vs fused/batched, \
          {BATCH_SIZE}x{SAMPLE_SIZE}-node subgraphs, serial + {threads} thread(s)..."
@@ -193,79 +184,51 @@ fn main() {
     let mut opt_fused = Adam::with_lr(5e-3);
     let mut opt_fused_par = Adam::with_lr(5e-3);
 
-    // Untimed warm-up primes buffer pools and Adam state.
-    with_thread_count(1, || run_unfused(&g, &feats, &m_unfused, &mut opt_unfused));
-    with_thread_count(1, || run_fused(&g, &feats, &m_fused, &mut opt_fused));
-
-    // Interleaved best-of for the two *serial* legs only: frequency drift on
-    // a busy box hits both alike, and keeping the oversubscribed parallel
-    // leg out of the rotation stops its worker churn from perturbing the
-    // serial timings the gate reads.
-    let mut best = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    for _ in 0..REPS {
-        best.0 = best.0.min(time_once(|| {
-            with_thread_count(1, || run_unfused(&g, &feats, &m_unfused, &mut opt_unfused));
-        }));
-        best.1 = best.1.min(time_once(|| {
-            with_thread_count(1, || run_fused(&g, &feats, &m_fused, &mut opt_fused));
-        }));
-    }
-    with_thread_count(threads, || {
-        run_fused(&g, &feats, &m_fused_par, &mut opt_fused_par)
-    });
-    for _ in 0..REPS {
-        best.2 = best.2.min(time_once(|| {
+    // The two *serial* legs interleave so frequency drift on a busy box hits
+    // both alike; keeping the oversubscribed parallel leg out of the rotation
+    // stops its worker churn from perturbing the serial timings the gate reads.
+    let [unfused_s, fused_s] = best_of(
+        REPS,
+        [
+            &mut || with_thread_count(1, || run_unfused(&g, &feats, &m_unfused, &mut opt_unfused)),
+            &mut || with_thread_count(1, || run_fused(&g, &feats, &m_fused, &mut opt_fused)),
+        ],
+    );
+    let [fused_par_s] = best_of(
+        REPS,
+        [&mut || {
             with_thread_count(threads, || {
                 run_fused(&g, &feats, &m_fused_par, &mut opt_fused_par)
-            });
-        }));
-    }
+            })
+        }],
+    );
     let eps = |t: f64| EPOCHS_PER_REP as f64 / t.max(1e-12);
-    let (unfused_eps, fused_eps, fused_par_eps) = (eps(best.0), eps(best.1), eps(best.2));
+    let (unfused_eps, fused_eps, fused_par_eps) = (eps(unfused_s), eps(fused_s), eps(fused_par_s));
     let ratio = fused_eps / unfused_eps.max(1e-12);
     eprintln!(
         "unfused(1T) {unfused_eps:7.2}  fused(1T) {fused_eps:7.2}  \
          fused({threads}T) {fused_par_eps:7.2} epochs/s  ratio {ratio:.2}x"
     );
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&meta.json_fields("  "));
-    match warning {
-        Some(w) => {
-            let _ = writeln!(json, "  \"warning\": \"{w}\",");
-        }
-        None => json.push_str("  \"warning\": null,\n"),
-    }
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"nodes\": {}, \"sample_size\": {SAMPLE_SIZE}, \
-         \"batch_size\": {BATCH_SIZE}, \"feature_dim\": {FEATURE_DIM}, \
-         \"hidden_dim\": {HIDDEN_DIM}, \"latent_dim\": {LATENT_DIM}, \
-         \"epochs_per_rep\": {EPOCHS_PER_REP}}},",
-        2 * BLOCK
+    bench.gate(
+        "--assert-min-ratio",
+        "fused/unfused epochs-per-second ratio",
+        ratio,
     );
-    let _ = writeln!(
-        json,
-        "  \"train\": {{\"unfused_serial_eps\": {unfused_eps:.4}, \
-         \"fused_serial_eps\": {fused_eps:.4}, \
-         \"fused_parallel_eps\": {fused_par_eps:.4}, \
-         \"fused_vs_unfused_ratio\": {ratio:.3}}}"
-    );
-    json.push_str("}\n");
-
-    let out = "results/BENCH_train.json";
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(out, &json)) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out}");
-
-    if let Some(min) = min_ratio {
-        if ratio < min {
-            eprintln!("FAIL: fused/unfused epochs-per-second ratio {ratio:.2} < {min:.2}");
-            std::process::exit(1);
-        }
-        eprintln!("gate OK: fused/unfused {ratio:.2} >= {min:.2}");
-    }
+    bench.finish(&Report {
+        config: Config {
+            nodes: 2 * BLOCK,
+            sample_size: SAMPLE_SIZE,
+            batch_size: BATCH_SIZE,
+            feature_dim: FEATURE_DIM,
+            hidden_dim: HIDDEN_DIM,
+            latent_dim: LATENT_DIM,
+            epochs_per_rep: EPOCHS_PER_REP,
+        },
+        train: Throughput {
+            unfused_serial_eps: unfused_eps,
+            fused_serial_eps: fused_eps,
+            fused_parallel_eps: fused_par_eps,
+            fused_vs_unfused_ratio: ratio,
+        },
+    });
 }

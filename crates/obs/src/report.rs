@@ -56,68 +56,73 @@ impl Report {
         self.series.get(name).map(Vec::as_slice)
     }
 
+    /// Every entry rendered once for both sinks, kind by kind in sink order.
+    fn sections(&self) -> [Section<'_>; 5] {
+        let hist = |h: &Hist| {
+            let buckets = h.buckets.iter().enumerate().filter(|&(_, &c)| c > 0);
+            Body::Members(format!(
+                "\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{}]",
+                h.count,
+                json_f64(h.sum),
+                json_f64(h.min),
+                json_f64(h.max),
+                join(buckets.map(|(i, c)| format!("[{i},{c}]")))
+            ))
+        };
+        let points = |p: &Vec<(u64, f64)>| {
+            let pts = p
+                .iter()
+                .map(|&(step, v)| format!("[{step},{}]", json_f64(v)));
+            Body::Value("points", format!("[{}]", join(pts)))
+        };
+        [
+            (
+                "spans",
+                "span",
+                "path",
+                entries(&self.spans, |s| {
+                    Body::Members(format!("\"count\":{},\"total_ns\":{}", s.count, s.total_ns))
+                }),
+            ),
+            (
+                "counters",
+                "counter",
+                "name",
+                entries(&self.counters, |v| Body::Value("value", v.to_string())),
+            ),
+            (
+                "gauges",
+                "gauge",
+                "name",
+                entries(&self.gauges, |&(_, v)| Body::Value("value", json_f64(v))),
+            ),
+            ("hists", "hist", "name", entries(&self.hists, hist)),
+            ("series", "series", "name", entries(&self.series, points)),
+        ]
+    }
+
     /// Renders the report as JSONL: one `meta` line, then one line per span
     /// path, counter, gauge, histogram, and series, each tagged with `"t"`.
     ///
     /// Everything except `_ns`-suffixed fields and the `meta` line is
     /// thread-count invariant; the determinism suite strips exactly those.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
         let threads = std::env::var("CPGAN_THREADS").unwrap_or_default();
-        out.push_str(&format!(
+        let mut out = format!(
             "{{\"t\":\"meta\",\"cpgan_threads\":{}}}\n",
             json_str(&threads)
-        ));
-        for (path, s) in &self.spans {
-            out.push_str(&format!(
-                "{{\"t\":\"span\",\"path\":{},\"count\":{},\"total_ns\":{}}}\n",
-                json_str(path),
-                s.count,
-                s.total_ns
-            ));
-        }
-        for (name, v) in &self.counters {
-            out.push_str(&format!(
-                "{{\"t\":\"counter\",\"name\":{},\"value\":{}}}\n",
-                json_str(name),
-                v
-            ));
-        }
-        for (name, &(_, v)) in &self.gauges {
-            out.push_str(&format!(
-                "{{\"t\":\"gauge\",\"name\":{},\"value\":{}}}\n",
-                json_str(name),
-                json_f64(v)
-            ));
-        }
-        for (name, h) in &self.hists {
-            let buckets: Vec<String> = h
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(i, c)| format!("[{i},{c}]"))
-                .collect();
-            out.push_str(&format!(
-                "{{\"t\":\"hist\",\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{}]}}\n",
-                json_str(name),
-                h.count,
-                json_f64(h.sum),
-                json_f64(h.min),
-                json_f64(h.max),
-                buckets.join(",")
-            ));
-        }
-        for (name, points) in &self.series {
-            let pts: Vec<String> = points
-                .iter()
-                .map(|&(step, v)| format!("[{},{}]", step, json_f64(v)))
-                .collect();
-            out.push_str(&format!(
-                "{{\"t\":\"series\",\"name\":{},\"points\":[{}]}}\n",
-                json_str(name),
-                pts.join(",")
-            ));
+        );
+        for (_, tag, name_key, entries) in self.sections() {
+            for (name, body) in entries {
+                let members = match body {
+                    Body::Members(m) => m,
+                    Body::Value(key, v) => format!("\"{key}\":{v}"),
+                };
+                let name = json_str(name);
+                out.push_str(&format!(
+                    "{{\"t\":\"{tag}\",\"{name_key}\":{name},{members}}}\n"
+                ));
+            }
         }
         out
     }
@@ -129,67 +134,14 @@ impl Report {
     /// `GET /metrics` endpoint). Key order is the `BTreeMap` order, so
     /// the rendering is deterministic.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"spans\":{");
-        for (i, (path, s)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{}:{{\"count\":{},\"total_ns\":{}}}",
-                json_str(path),
-                s.count,
-                s.total_ns
-            ));
-        }
-        out.push_str("},\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{v}", json_str(name)));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, &(_, v))) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json_str(name), json_f64(v)));
-        }
-        out.push_str("},\"hists\":{");
-        for (i, (name, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let buckets: Vec<String> = h
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(b, c)| format!("[{b},{c}]"))
-                .collect();
-            out.push_str(&format!(
-                "{}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{}]}}",
-                json_str(name),
-                h.count,
-                json_f64(h.sum),
-                json_f64(h.min),
-                json_f64(h.max),
-                buckets.join(",")
-            ));
-        }
-        out.push_str("},\"series\":{");
-        for (i, (name, points)) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let pts: Vec<String> = points
-                .iter()
-                .map(|&(step, v)| format!("[{step},{}]", json_f64(v)))
-                .collect();
-            out.push_str(&format!("{}:[{}]", json_str(name), pts.join(",")));
-        }
-        out.push_str("}}");
-        out
+        let sections = self.sections().map(|(section, _, _, entries)| {
+            let entries = entries.into_iter().map(|(name, body)| match body {
+                Body::Members(m) => format!("{}:{{{m}}}", json_str(name)),
+                Body::Value(_, v) => format!("{}:{v}", json_str(name)),
+            });
+            format!("\"{section}\":{{{}}}", join(entries))
+        });
+        format!("{{{}}}", join(sections.into_iter()))
     }
 
     /// Renders a deterministic human-readable summary: spans as an indented
@@ -255,6 +207,31 @@ impl Report {
         }
         out
     }
+}
+
+/// One entry kind: its `to_json` section key, its JSONL `"t"` tag and name
+/// key, and each entry's name with its rendered value.
+type Section<'a> = (
+    &'static str,
+    &'static str,
+    &'static str,
+    Vec<(&'a str, Body)>,
+);
+
+/// An entry's rendered value: the members of an object (spans, histograms),
+/// or one JSON value that JSONL puts under the given key (counters, gauges,
+/// series).
+enum Body {
+    Members(String),
+    Value(&'static str, String),
+}
+
+fn entries<V>(map: &BTreeMap<String, V>, render: impl Fn(&V) -> Body) -> Vec<(&str, Body)> {
+    map.iter().map(|(k, v)| (k.as_str(), render(v))).collect()
+}
+
+fn join(items: impl Iterator<Item = String>) -> String {
+    items.collect::<Vec<_>>().join(",")
 }
 
 /// Flushes observability at program exit: when collection is enabled, merges
@@ -372,6 +349,51 @@ mod tests {
         assert!(tree.contains("spans:"));
         assert!(tree.contains("b"));
         assert!(tree.contains("jobs"));
+    }
+
+    #[test]
+    fn both_sinks_pin_every_kind() {
+        let mut r = Report::default();
+        for (path, count, total_ns) in [("a/b", 3, 1500), ("q\"x\\", 1, 7)] {
+            let stat = crate::collect::SpanStat { count, total_ns };
+            r.spans.insert(path.to_string(), stat);
+        }
+        r.counters.insert("jobs".to_string(), 7);
+        r.gauges.insert("depth".to_string(), (1, 2.5));
+        r.gauges.insert("nan".to_string(), (2, f64::NAN));
+        let mut h = Hist::default();
+        h.record(4.0);
+        h.record(1.5);
+        r.hists.insert("lat".to_string(), h);
+        r.series
+            .insert("loss".to_string(), vec![(0, 1.0), (1, f64::INFINITY)]);
+
+        let jsonl = r.to_jsonl();
+        let (meta, entries) = jsonl.split_once('\n').unwrap();
+        assert!(
+            meta.starts_with("{\"t\":\"meta\",\"cpgan_threads\":\""),
+            "{meta}"
+        );
+        assert_eq!(
+            entries,
+            r#"{"t":"span","path":"a/b","count":3,"total_ns":1500}
+{"t":"span","path":"q\"x\\","count":1,"total_ns":7}
+{"t":"counter","name":"jobs","value":7}
+{"t":"gauge","name":"depth","value":2.5}
+{"t":"gauge","name":"nan","value":null}
+{"t":"hist","name":"lat","count":2,"sum":5.5,"min":1.5,"max":4,"buckets":[[0,1],[2,1]]}
+{"t":"series","name":"loss","points":[[0,1],[1,null]]}
+"#
+        );
+        assert_eq!(
+            r.to_json(),
+            concat!(
+                r#"{"spans":{"a/b":{"count":3,"total_ns":1500},"q\"x\\":{"count":1,"total_ns":7}},"#,
+                r#""counters":{"jobs":7},"gauges":{"depth":2.5,"nan":null},"#,
+                r#""hists":{"lat":{"count":2,"sum":5.5,"min":1.5,"max":4,"buckets":[[0,1],[2,1]]}},"#,
+                r#""series":{"loss":[[0,1],[1,null]]}}"#
+            )
+        );
     }
 
     #[test]

@@ -79,3 +79,39 @@ fn design_section_states_the_taxonomy_and_gate() {
         assert!(s.contains(flag), "§11 must name the CI gate flag `{flag}`");
     }
 }
+
+/// Every `.rs` file under `dir`, concatenated.
+fn sources(dir: &std::path::Path) -> String {
+    let mut text = String::new();
+    for entry in std::fs::read_dir(dir).expect("source dir must be readable") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            text.push_str(&sources(&path));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            text.push_str(&std::fs::read_to_string(&path).expect("source must be readable"));
+        }
+    }
+    text
+}
+
+#[test]
+fn every_serve_name_in_the_section_is_emitted() {
+    let s = section_11();
+    let src = sources(&std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("src"));
+    let names: Vec<&str> = s
+        .match_indices("`serve.")
+        .filter_map(|(i, _)| s[i + 1..].split('`').next())
+        .collect();
+    assert!(!names.is_empty(), "§11 must name the serve metrics");
+    for name in names {
+        // `serve.err.*` documents a family: any literal with that prefix.
+        let literal = match name.strip_suffix('*') {
+            Some(prefix) => format!("\"{prefix}"),
+            None => format!("\"{name}\""),
+        };
+        assert!(
+            src.contains(&literal),
+            "DESIGN.md §11 names `{name}`, but no string literal under crates/serve/src emits it"
+        );
+    }
+}
