@@ -6,7 +6,7 @@ use cpgan_eval::{pipelines::robustness, EvalConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = EvalConfig::from_args(&args);
+    let cfg = EvalConfig::from_args(&args).unwrap_or_else(|e| bench::fail(&e));
     eprintln!("running Figure 6 grid on Citeseer...");
     let table = robustness::run(&cfg, "Citeseer");
     println!("{}", table.render());

@@ -6,7 +6,7 @@ use cpgan_eval::{pipelines::reconstruction, EvalConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = EvalConfig::from_args(&args);
+    let cfg = EvalConfig::from_args(&args).unwrap_or_else(|e| bench::fail(&e));
     eprintln!("running Table V at scale 1/{}...", cfg.scale);
     let table = reconstruction::run(&cfg);
     println!("{}", table.render());

@@ -22,7 +22,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    let cfg = EvalConfig::from_args(args);
+    let cfg = EvalConfig::from_args(args)?;
     // The first positional (non-flag, non-flag-value) argument names the
     // dataset; everything else is shared EvalConfig/report plumbing.
     const VALUE_FLAGS: [&str; 6] = [

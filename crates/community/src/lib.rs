@@ -24,7 +24,6 @@
 //! ```
 
 pub mod contingency;
-pub mod label_propagation;
 pub mod louvain;
 pub mod metrics;
 pub mod modularity;

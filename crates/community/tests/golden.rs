@@ -1,7 +1,7 @@
-//! Golden regression tests for the community metrics and detectors whose
-//! determinism PR 6 made structural (BTreeMap iteration in `entropy` and
-//! label propagation): outputs are pinned bit-for-bit with `f64::to_bits`
-//! hex constants, mirroring `crates/graph/tests/golden.rs`.
+//! Golden regression tests for the community metrics whose determinism is
+//! structural (BTreeMap iteration in `entropy`): outputs are pinned
+//! bit-for-bit with `f64::to_bits` hex constants, mirroring
+//! `crates/graph/tests/golden.rs`.
 //!
 //! After an *intended* numerical change, regenerate the constants with:
 //!
@@ -9,13 +9,7 @@
 //! cargo test -p cpgan-community --test golden -- --ignored regenerate --nocapture
 //! ```
 
-// Test-support helpers sit outside `#[test]` fns, where the
-// `allow-*-in-tests` carve-out does not reach.
-#![allow(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
-
-use cpgan_community::label_propagation::label_propagation;
 use cpgan_community::metrics::{entropy, mutual_information, nmi};
-use cpgan_graph::Graph;
 
 /// Skewed three-community labels: sizes 30 / 20 / 10.
 fn labels_x() -> Vec<usize> {
@@ -35,23 +29,6 @@ fn labels_x() -> Vec<usize> {
 /// A coarser two-community view of the same nodes: sizes 30 / 30.
 fn labels_y() -> Vec<usize> {
     (0..60).map(|i| usize::from(i >= 30)).collect()
-}
-
-/// Two dense 8-cliques joined by one bridge edge — unambiguous communities
-/// so label propagation converges to the planted split at any seed.
-fn two_clique_graph() -> Graph {
-    let size = 8u32;
-    let mut edges = Vec::new();
-    for block in 0..2u32 {
-        let base = block * size;
-        for i in 0..size {
-            for j in (i + 1)..size {
-                edges.push((base + i, base + j));
-            }
-        }
-    }
-    edges.push((size - 1, size)); // bridge
-    Graph::from_edges(2 * size as usize, edges).unwrap()
 }
 
 /// `f64::to_bits` pins for the metric values (see module docs).
@@ -98,18 +75,6 @@ fn mutual_information_and_nmi_bits_are_pinned() {
 }
 
 #[test]
-fn label_propagation_output_is_pinned() {
-    let g = two_clique_graph();
-    let p = label_propagation(&g, 7);
-    // The planted two-clique split, in canonical (first-seen) relabeling.
-    let expected: Vec<usize> = (0..16).map(|i| usize::from(i >= 8)).collect();
-    assert_eq!(p.labels(), &expected[..], "label propagation drifted");
-    // Same seed, second run: bit-identical partition (determinism
-    // contract, DESIGN.md §8).
-    assert_eq!(p.labels(), label_propagation(&g, 7).labels());
-}
-
-#[test]
 fn entropy_is_invariant_under_label_order() {
     // Permuting the *input order* must not change a single bit: the sum
     // runs in ascending label order regardless of encounter order.
@@ -130,8 +95,4 @@ fn regenerate() {
         mutual_information(&x, &y).to_bits()
     );
     println!("NMI_XY_BITS: u64 = 0x{:016x};", nmi(&x, &y).to_bits());
-    println!(
-        "label_propagation labels: {:?}",
-        label_propagation(&two_clique_graph(), 7).labels()
-    );
 }

@@ -246,9 +246,10 @@ impl GraphAssembler {
     }
 }
 
-/// The naive strategies §III-G argues against, kept for the ablation bench
-/// (DESIGN.md §5): pure Bernoulli sampling (high variance) and pure
-/// thresholding (drops low-degree nodes).
+/// The naive strategies §III-G argues against, kept as the references the
+/// unit tests below compare the paper's strategy with (DESIGN.md §5): pure
+/// Bernoulli sampling (high variance) and pure thresholding (drops
+/// low-degree nodes).
 pub mod naive {
     use cpgan_graph::{Graph, GraphBuilder, NodeId};
     use cpgan_nn::Matrix;

@@ -548,35 +548,6 @@ impl CpGan {
         self.decode_logits(&tape, &z).sigmoid().value()
     }
 
-    /// Reconstructs a graph with the observed edge count from the
-    /// probability matrix (top-k + categorical assembly).
-    pub fn reconstruct(&self, g: &Graph, rng: &mut StdRng) -> Graph {
-        self.reconstruct_with_edge_target(g, g.m(), rng)
-    }
-
-    /// Reconstructs with an explicit edge target (Table V reconstructs the
-    /// *whole* graph from the 80% training edges). Degree budgets scale the
-    /// observed (training) degrees up to the target edge count.
-    pub fn reconstruct_with_edge_target(
-        &self,
-        g: &Graph,
-        target_m: usize,
-        rng: &mut StdRng,
-    ) -> Graph {
-        let probs = self.reconstruct_probabilities(g);
-        let nodes: Vec<NodeId> = (0..g.n() as NodeId).collect();
-        let scale = target_m as f64 / g.m().max(1) as f64;
-        let budgets: Vec<usize> = g
-            .degrees()
-            .iter()
-            .map(|&d| ((d as f64) * scale).round() as usize)
-            .collect();
-        let mut asm = GraphAssembler::new(g.n(), target_m).with_degree_budgets(budgets);
-        asm.add_subgraph(&nodes, &probs, target_m, rng);
-        asm.fill_residual(rng);
-        asm.build()
-    }
-
     /// Mean negative log-likelihood of a set of edges under a probability
     /// matrix (Table V's NLL columns).
     pub fn edge_nll(probs: &Matrix, edges: &[(NodeId, NodeId)]) -> f64 {

@@ -166,14 +166,6 @@ pub fn synthesize(spec: &DatasetSpec, scale: usize, seed: u64) -> Dataset {
     }
 }
 
-/// Synthesizes all six datasets at the given scale.
-pub fn synthesize_all(scale: usize, seed: u64) -> Vec<Dataset> {
-    PAPER_DATASETS
-        .iter()
-        .map(|s| synthesize(s, scale, seed))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,13 +23,6 @@ pub struct DeepConfig {
     pub learning_rate: f32,
     /// Seed for init, sampling, and noise.
     pub seed: u64,
-    /// Nodes per sampled training subgraph; `0` (the default) trains on the
-    /// full observed graph every epoch, the historical behavior.
-    pub sample_size: usize,
-    /// Subgraphs per training step when `sample_size > 0`; the batch is
-    /// packed block-diagonally ([`cpgan_nn::BlockDiagCsr`]) so one fused
-    /// kernel call covers every subgraph.
-    pub batch_size: usize,
 }
 
 impl Default for DeepConfig {
@@ -41,8 +34,6 @@ impl Default for DeepConfig {
             epochs: 200,
             learning_rate: 5e-3,
             seed: 7,
-            sample_size: 0,
-            batch_size: 1,
         }
     }
 }
@@ -102,13 +93,6 @@ pub struct SubgraphBatch {
     pub rows: Vec<Arc<Vec<usize>>>,
 }
 
-impl SubgraphBatch {
-    /// Number of subgraphs in the batch.
-    pub fn blocks(&self) -> usize {
-        self.ops.blocks()
-    }
-}
-
 /// Draws `batch` subgraphs of `ns` nodes from `sampler` (one seeded stream —
 /// the batch size can never change the draw sequence, see
 /// `cpgan_graph::sampling`) and packs them into a [`SubgraphBatch`]. Feature
@@ -120,9 +104,8 @@ pub fn sample_batch(
     ns: usize,
     batch: usize,
 ) -> SubgraphBatch {
-    // Clamp to the graph size: deep baselines train whole-graph when the
-    // configured sample size exceeds `n`, so an oversized `ns` is not an
-    // error at this seam (the sampler itself rejects `k > n`).
+    // Clamp to the graph size so an oversized `ns` is not an error at this
+    // seam (the sampler itself rejects `k > n`).
     let draws = sampler
         .next_batch(g, ns.min(g.n()), batch)
         .unwrap_or_default();

@@ -9,11 +9,10 @@
 
 use crate::common::{self, DeepConfig};
 use cpgan_generators::GraphGenerator;
-use cpgan_graph::sampling::SubgraphSampler;
 use cpgan_graph::Graph;
 use cpgan_nn::layers::{Activation, GcnConv, Mlp};
 use cpgan_nn::optim::{Adam, Optimizer};
-use cpgan_nn::{init, loss, BlockDiagCsr, Csr, FusedAct, Matrix, ParamStore, Tape, Var};
+use cpgan_nn::{init, loss, Csr, FusedAct, Matrix, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::sync::Arc;
@@ -78,104 +77,6 @@ impl CondGenR {
         let readout_dense = |tape: &Tape, a: &Var, x: &Var| -> Var {
             d_conv.forward_dense(tape, a, x).relu().mean_rows()
         };
-
-        // Batched subgraph training (DESIGN §13): pack `batch_size` sampled
-        // subgraphs block-diagonally so one fused kernel call per layer
-        // covers the whole batch; the discriminator scores each block's
-        // readout as one row of a `B x 1` logit column.
-        let ns = cfg.sample_size;
-        if ns > 0 && ns < n {
-            let bsz = cfg.batch_size.max(1);
-            let mut sampler = SubgraphSampler::new(cfg.seed.wrapping_add(0x5eed));
-            let inv_b = 1.0 / bsz as f32;
-            let one_b = Arc::new(Matrix::full(bsz, 1, 1.0));
-            let zero_b = Arc::new(Matrix::zeros(bsz, 1));
-            let scale = 1.0 / (cfg.latent_dim as f32).sqrt();
-            for _ in 0..cfg.epochs {
-                let batch = common::sample_batch(g, &feats, &mut sampler, ns, bsz);
-                let total_rows = batch.ops.total_rows();
-                // ---- Discriminator step ----
-                {
-                    let tape = Tape::new();
-                    let x = tape.constant(batch.feats.clone());
-                    let (mu, logvar) = model.encode_batched(&tape, &batch.ops, &x);
-                    let eps =
-                        tape.constant(init::standard_normal(&mut rng, total_rows, cfg.latent_dim));
-                    let z = mu.add(&logvar.scale(0.5).exp().mul(&eps));
-                    let h_real = d_conv.forward_batched(&tape, &batch.ops, &x, FusedAct::Relu);
-                    let mut real_parts = Vec::with_capacity(bsz);
-                    let mut fake_parts = Vec::with_capacity(bsz);
-                    for rows_b in &batch.rows {
-                        let xb = x.gather_rows(rows_b);
-                        let zb = z.gather_rows(rows_b);
-                        // Detached fake adjacency for this block.
-                        let fake_probs = tape
-                            .constant(zb.matmul(&zb.transpose()).scale(scale).sigmoid().value());
-                        real_parts.push(h_real.gather_rows(rows_b).mean_rows());
-                        fake_parts.push(readout_dense(&tape, &fake_probs, &xb));
-                    }
-                    let real_logit = d_head.forward(&tape, &Var::concat_rows(&real_parts));
-                    let fake_logit = d_head.forward(&tape, &Var::concat_rows(&fake_parts));
-                    let d_loss = real_logit
-                        .bce_with_logits_mean(&one_b, None)
-                        .add(&fake_logit.bce_with_logits_mean(&zero_b, None));
-                    g_store.zero_grad();
-                    d_store.zero_grad();
-                    d_loss.backward();
-                    opt_d.step(&d_store);
-                }
-                // ---- Generator step ----
-                {
-                    let tape = Tape::new();
-                    let x = tape.constant(batch.feats.clone());
-                    let (mu, logvar) = model.encode_batched(&tape, &batch.ops, &x);
-                    let eps =
-                        tape.constant(init::standard_normal(&mut rng, total_rows, cfg.latent_dim));
-                    let z = mu.add(&logvar.scale(0.5).exp().mul(&eps));
-                    let h_real = d_conv.forward_batched(&tape, &batch.ops, &x, FusedAct::Relu);
-                    let mut real_parts = Vec::with_capacity(bsz);
-                    let mut fake_parts = Vec::with_capacity(bsz);
-                    let mut recon: Option<Var> = None;
-                    for (b, rows_b) in batch.rows.iter().enumerate() {
-                        let xb = x.gather_rows(rows_b);
-                        let zb = z.gather_rows(rows_b);
-                        let logits_b = zb.matmul(&zb.transpose()).scale(scale);
-                        let fake_probs = logits_b.sigmoid();
-                        let (t, w) = &batch.targets[b];
-                        let r = logits_b.bce_with_logits_mean(t, Some(w));
-                        recon = Some(match recon {
-                            None => r,
-                            Some(acc) => acc.add(&r),
-                        });
-                        real_parts.push(h_real.gather_rows(rows_b).mean_rows());
-                        fake_parts.push(readout_dense(&tape, &fake_probs, &xb));
-                    }
-                    let Some(recon) = recon else { continue };
-                    let real_ro = Var::concat_rows(&real_parts);
-                    let fake_ro = Var::concat_rows(&fake_parts);
-                    let fake_logit = d_head.forward(&tape, &fake_ro);
-                    let kl = loss::gaussian_kl(&mu, &logvar);
-                    let l_rec = real_ro.sub(&fake_ro).square().mean_all();
-                    let g_loss = fake_logit
-                        .bce_with_logits_mean(&one_b, None)
-                        .scale(0.1)
-                        .add(&recon.scale(inv_b).scale(2.0))
-                        .add(&kl.scale(0.05))
-                        .add(&l_rec);
-                    g_store.zero_grad();
-                    d_store.zero_grad();
-                    g_loss.backward();
-                    opt_g.step(&g_store);
-                }
-            }
-
-            let tape = Tape::new();
-            let x = tape.constant(feats);
-            let (mu, logvar) = model.encode(&tape, &adj, &x);
-            model.trained_mu = mu.value();
-            model.trained_logvar = logvar.value();
-            return model;
-        }
 
         for _ in 0..cfg.epochs {
             // ---- Discriminator step ----
@@ -248,17 +149,6 @@ impl CondGenR {
         )
     }
 
-    /// Encoder over a block-diagonal batch of subgraphs.
-    fn encode_batched(&self, tape: &Tape, batch: &BlockDiagCsr, x: &Var) -> (Var, Var) {
-        let h = self.conv1.forward_batched(tape, batch, x, FusedAct::Relu);
-        (
-            self.conv_mu
-                .forward_batched(tape, batch, &h, FusedAct::Identity),
-            self.conv_logvar
-                .forward_batched(tape, batch, &h, FusedAct::Identity),
-        )
-    }
-
     /// Decoded link probabilities with fresh posterior noise.
     pub fn decode_probabilities(&self, rng: &mut dyn RngCore) -> Matrix {
         let tape = Tape::new();
@@ -296,22 +186,6 @@ mod tests {
         let (g, _) = two_blocks(10);
         let model = CondGenR::fit(&g, &DeepConfig::tiny());
         let mut rng = StdRng::seed_from_u64(0);
-        let out = model.generate(&mut rng);
-        assert_eq!(out.n(), g.n());
-        assert_eq!(out.m(), g.m());
-    }
-
-    #[test]
-    fn batched_subgraph_training_fits_and_generates() {
-        let (g, _) = two_blocks(10);
-        let cfg = DeepConfig {
-            sample_size: 12,
-            batch_size: 2,
-            epochs: 40,
-            ..DeepConfig::tiny()
-        };
-        let model = CondGenR::fit(&g, &cfg);
-        let mut rng = StdRng::seed_from_u64(3);
         let out = model.generate(&mut rng);
         assert_eq!(out.n(), g.n());
         assert_eq!(out.m(), g.m());

@@ -9,11 +9,10 @@
 
 use crate::common::{self, DeepConfig};
 use cpgan_generators::GraphGenerator;
-use cpgan_graph::sampling::SubgraphSampler;
 use cpgan_graph::Graph;
 use cpgan_nn::layers::GcnConv;
 use cpgan_nn::optim::{Adam, Optimizer};
-use cpgan_nn::{init, loss, BlockDiagCsr, Csr, FusedAct, Matrix, ParamStore, Tape, Var};
+use cpgan_nn::{init, loss, Csr, FusedAct, Matrix, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::sync::Arc;
@@ -59,57 +58,19 @@ impl Vgae {
             trained_logvar: Matrix::zeros(g.n(), cfg.latent_dim),
         };
 
-        // Batched subgraph training (DESIGN §13): when `sample_size` is set
-        // below the graph size, each step trains on `batch_size` sampled
-        // subgraphs packed block-diagonally; otherwise every epoch sees the
-        // full graph, the historical behavior.
-        let ns = cfg.sample_size;
-        if ns > 0 && ns < g.n() {
-            let bsz = cfg.batch_size.max(1);
-            let mut sampler = SubgraphSampler::new(cfg.seed.wrapping_add(0x5eed));
-            let inv_b = 1.0 / bsz as f32;
-            for _ in 0..cfg.epochs {
-                let batch = common::sample_batch(g, &feats, &mut sampler, ns, bsz);
-                let total_rows = batch.ops.total_rows();
-                let tape = Tape::new();
-                let x = tape.constant(batch.feats.clone());
-                let (mu, logvar) = model.encode_batched(&tape, &batch.ops, &x);
-                let eps =
-                    tape.constant(init::standard_normal(&mut rng, total_rows, cfg.latent_dim));
-                let z = mu.add(&logvar.scale(0.5).exp().mul(&eps));
-                let mut recon: Option<Var> = None;
-                for b in 0..batch.blocks() {
-                    let zb = z.gather_rows(&batch.rows[b]);
-                    let logits = zb.matmul(&zb.transpose());
-                    let (t, w) = &batch.targets[b];
-                    let r = logits.bce_with_logits_mean(t, Some(w));
-                    recon = Some(match recon {
-                        None => r,
-                        Some(acc) => acc.add(&r),
-                    });
-                }
-                let Some(recon) = recon else { continue };
-                let kl = loss::gaussian_kl(&mu, &logvar);
-                let total = recon.scale(inv_b).add(&kl.scale(0.05));
-                store.zero_grad();
-                total.backward();
-                opt.step(&store);
-            }
-        } else {
-            for _ in 0..cfg.epochs {
-                let tape = Tape::new();
-                let x = tape.constant(feats.clone());
-                let (mu, logvar) = model.encode(&tape, &adj, &x);
-                let eps = tape.constant(init::standard_normal(&mut rng, g.n(), cfg.latent_dim));
-                let z = mu.add(&logvar.scale(0.5).exp().mul(&eps));
-                let logits = z.matmul(&z.transpose());
-                let recon = logits.bce_with_logits_mean(&target, Some(&weights));
-                let kl = loss::gaussian_kl(&mu, &logvar);
-                let total = recon.add(&kl.scale(0.05));
-                store.zero_grad();
-                total.backward();
-                opt.step(&store);
-            }
+        for _ in 0..cfg.epochs {
+            let tape = Tape::new();
+            let x = tape.constant(feats.clone());
+            let (mu, logvar) = model.encode(&tape, &adj, &x);
+            let eps = tape.constant(init::standard_normal(&mut rng, g.n(), cfg.latent_dim));
+            let z = mu.add(&logvar.scale(0.5).exp().mul(&eps));
+            let logits = z.matmul(&z.transpose());
+            let recon = logits.bce_with_logits_mean(&target, Some(&weights));
+            let kl = loss::gaussian_kl(&mu, &logvar);
+            let total = recon.add(&kl.scale(0.05));
+            store.zero_grad();
+            total.backward();
+            opt.step(&store);
         }
 
         // Cache the final posterior for generation.
@@ -127,19 +88,6 @@ impl Vgae {
             .forward_sparse_fused(tape, adj, x, FusedAct::Relu);
         let mu = self.conv_mu.forward_sparse(tape, adj, &h);
         let logvar = self.conv_logvar.forward_sparse(tape, adj, &h);
-        (mu, logvar)
-    }
-
-    /// Encoder over a whole block-diagonal batch of subgraphs: one fused
-    /// kernel call per layer covers every block.
-    fn encode_batched(&self, tape: &Tape, batch: &BlockDiagCsr, x: &Var) -> (Var, Var) {
-        let h = self.conv1.forward_batched(tape, batch, x, FusedAct::Relu);
-        let mu = self
-            .conv_mu
-            .forward_batched(tape, batch, &h, FusedAct::Identity);
-        let logvar = self
-            .conv_logvar
-            .forward_batched(tape, batch, &h, FusedAct::Identity);
         (mu, logvar)
     }
 
@@ -215,36 +163,6 @@ mod tests {
         }
         p_non /= count as f64;
         assert!(p_edge > p_non, "edge prob {p_edge} <= non-edge {p_non}");
-    }
-
-    #[test]
-    fn batched_subgraph_training_fits_and_generates() {
-        let (g, _) = two_blocks(12);
-        let cfg = DeepConfig {
-            sample_size: 16,
-            batch_size: 3,
-            epochs: 60,
-            ..DeepConfig::tiny()
-        };
-        let model = Vgae::fit(&g, &cfg);
-        let mut rng = StdRng::seed_from_u64(5);
-        let out = model.generate(&mut rng);
-        assert_eq!(out.n(), g.n());
-        assert_eq!(out.m(), g.m());
-        // The batched trajectory must be deterministic for a fixed config.
-        let model2 = Vgae::fit(&g, &cfg);
-        for (a, b) in model
-            .trained_mu
-            .as_slice()
-            .iter()
-            .zip(model2.trained_mu.as_slice())
-        {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "batched training must be bit-deterministic"
-            );
-        }
     }
 
     #[test]

@@ -94,8 +94,7 @@ pub fn run(cfg: &EvalConfig, dataset: &str) -> Table {
     table
 }
 
-/// Returns the level sweep as data points (used by tests and the PairNorm
-/// ablation).
+/// Returns the level sweep as data points, without rendering a table.
 pub fn level_sweep(cfg: &EvalConfig, dataset: &str) -> Vec<SweepPoint> {
     let Some(spec) = datasets::spec_by_name(dataset) else {
         return Vec::new();

@@ -30,6 +30,5 @@ pub mod kronecker;
 pub mod mmsb;
 pub mod sbm;
 mod traits;
-pub mod ws;
 
 pub use traits::GraphGenerator;

@@ -25,14 +25,10 @@ pub fn emd_1d(p: &[f64], q: &[f64]) -> f64 {
     dist
 }
 
-/// Gaussian kernel over the EMD: `exp(-W1(p, q)^2 / (2 sigma^2))`.
-pub fn gaussian_emd_kernel(p: &[f64], q: &[f64], sigma: f64) -> f64 {
-    gaussian_emd_kernel_scaled(p, q, sigma, 1.0)
-}
-
-/// Gaussian EMD kernel with the W1 distance measured in units of
-/// `bin_width` (clustering-coefficient histograms live on `[0, 1]` with
-/// 1/[`CLUSTERING_BINS`] wide bins; degree histograms use unit bins).
+/// Gaussian kernel over the EMD, `exp(-W1(p, q)^2 / (2 sigma^2))`, with
+/// the W1 distance measured in units of `bin_width` (clustering-coefficient
+/// histograms live on `[0, 1]` with 1/[`CLUSTERING_BINS`] wide bins; degree
+/// histograms use unit bins).
 pub fn gaussian_emd_kernel_scaled(p: &[f64], q: &[f64], sigma: f64, bin_width: f64) -> f64 {
     let d = emd_1d(p, q) * bin_width;
     (-d * d / (2.0 * sigma * sigma)).exp()

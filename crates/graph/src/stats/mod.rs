@@ -1,10 +1,8 @@
 //! Graph statistics used by the paper's evaluation (Tables II, IV, V).
 
-pub mod assortativity;
 pub mod clustering;
 pub mod degree;
 pub mod gini;
-pub mod kcore;
 pub mod path;
 pub mod powerlaw;
 

@@ -11,13 +11,6 @@ pub fn xavier_uniform<R: Rng>(rng: &mut R, fan_in: usize, fan_out: usize) -> Mat
     Matrix::from_fn(fan_in, fan_out, |_, _| rng.gen_range(-a..a))
 }
 
-/// He/Kaiming uniform initialization for ReLU networks:
-/// `U(-a, a)` with `a = sqrt(6 / fan_in)`.
-pub fn he_uniform<R: Rng>(rng: &mut R, fan_in: usize, fan_out: usize) -> Matrix {
-    let a = (6.0 / fan_in as f32).sqrt();
-    Matrix::from_fn(fan_in, fan_out, |_, _| rng.gen_range(-a..a))
-}
-
 /// Standard normal matrix (used for VAE prior samples and noise inputs).
 pub fn standard_normal<R: Rng>(rng: &mut R, rows: usize, cols: usize) -> Matrix {
     use rand_distr::{Distribution, StandardNormal};

@@ -3,7 +3,7 @@
 use crate::kernels::FusedAct;
 use crate::layers::Linear;
 use crate::params::ParamStore;
-use crate::sparse::{BlockDiagCsr, Csr};
+use crate::sparse::Csr;
 use crate::tape::{Tape, Var};
 use rand::Rng;
 use std::sync::Arc;
@@ -25,19 +25,6 @@ impl GcnConv {
         }
     }
 
-    /// Creates the layer with a bias row, applied inside the fused
-    /// spmm+bias+activation op: `act(Â (X W) + b)`.
-    pub fn new_with_bias<R: Rng>(
-        store: &mut ParamStore,
-        rng: &mut R,
-        fan_in: usize,
-        fan_out: usize,
-    ) -> Self {
-        GcnConv {
-            linear: Linear::new(store, rng, fan_in, fan_out, true),
-        }
-    }
-
     /// Forward with a *constant sparse* operator (the input graph's
     /// `D̃^{-1/2} Ã D̃^{-1/2}`): `Â (X W)`. The activation is applied by the
     /// caller.
@@ -51,28 +38,13 @@ impl GcnConv {
         adj.matmul(&self.linear.forward(tape, x))
     }
 
-    /// Fused forward with a constant sparse operator:
-    /// `act(Â (X W) + b)` as one spmm+bias+activation tape node —
-    /// bit-identical to `forward_sparse(..)` followed by the bias add and
-    /// activation, in one pass over the output.
+    /// Fused forward with a constant sparse operator: `act(Â (X W))` as
+    /// one spmm+activation tape node — bit-identical to `forward_sparse(..)`
+    /// followed by the activation, in one pass over the output.
     pub fn forward_sparse_fused(&self, tape: &Tape, adj: &Arc<Csr>, x: &Var, act: FusedAct) -> Var {
-        let h = self.linear.forward_weight(tape, x);
-        let bias = self.linear.bias().map(|b| tape.param(b));
-        h.spmm_bias_act(adj, bias.as_ref(), act)
-    }
-
-    /// Fused forward over a whole batch of subgraphs packed block-diagonally:
-    /// one kernel call covers every block (see [`BlockDiagCsr`]).
-    pub fn forward_batched(
-        &self,
-        tape: &Tape,
-        batch: &BlockDiagCsr,
-        x: &Var,
-        act: FusedAct,
-    ) -> Var {
-        let h = self.linear.forward_weight(tape, x);
-        let bias = self.linear.bias().map(|b| tape.param(b));
-        h.spmm_bias_act_batched(batch, bias.as_ref(), act)
+        self.linear
+            .forward_weight(tape, x)
+            .spmm_bias_act(adj, None, act)
     }
 
     /// Output width.

@@ -1,4 +1,4 @@
-//! Composite losses shared by CPGAN and the baselines.
+//! The VAE prior loss shared by CPGAN and the baselines.
 
 use crate::tape::Var;
 
@@ -12,34 +12,6 @@ pub fn gaussian_kl(mu: &Var, logvar: &Var) -> Var {
     let n = mu.shape().0.max(1) as f32;
     let term = logvar.add_scalar(1.0).sub(&mu.square()).sub(&logvar.exp());
     term.sum_all().scale(-0.5 / n)
-}
-
-/// The non-saturating generator loss `-log D(G(z))` given discriminator
-/// logits on fake samples (standard GAN practice; gradients match maximizing
-/// `log D(G(z))`).
-pub fn generator_nonsaturating(fake_logits: &Var) -> Var {
-    let target = std::sync::Arc::new(crate::Matrix::full(
-        fake_logits.shape().0,
-        fake_logits.shape().1,
-        1.0,
-    ));
-    fake_logits.bce_with_logits_mean(&target, None)
-}
-
-/// Discriminator loss `-log D(real) - log(1 - D(fake))` from logits.
-pub fn discriminator_loss(real_logits: &Var, fake_logits: &Var) -> Var {
-    let ones = std::sync::Arc::new(crate::Matrix::full(
-        real_logits.shape().0,
-        real_logits.shape().1,
-        1.0,
-    ));
-    let zeros = std::sync::Arc::new(crate::Matrix::zeros(
-        fake_logits.shape().0,
-        fake_logits.shape().1,
-    ));
-    let real = real_logits.bce_with_logits_mean(&ones, None);
-    let fake = fake_logits.bce_with_logits_mean(&zeros, None);
-    real.add(&fake)
 }
 
 #[cfg(test)]
@@ -76,16 +48,5 @@ mod tests {
         // dKL/dmu = mu > 0; dKL/dlogvar = 0.5(exp(lv) - 1) > 0 for lv > 0.
         assert!(p_mu.lock().grad.as_slice().iter().all(|&g| g > 0.0));
         assert!(p_lv.lock().grad.as_slice().iter().all(|&g| g > 0.0));
-    }
-
-    #[test]
-    fn gan_losses_oppose() {
-        let t = Tape::new();
-        let logits = t.constant(Matrix::from_vec(2, 1, vec![2.0, -1.0]));
-        let g = generator_nonsaturating(&logits);
-        let zeros = t.constant(Matrix::zeros(2, 1));
-        let d = discriminator_loss(&zeros, &logits);
-        assert!(g.item() > 0.0);
-        assert!(d.item() > 0.0);
     }
 }

@@ -26,13 +26,13 @@
 //! never inflate `live_bytes`/`peak_bytes` and Table IX stays honest. Idle
 //! bytes are observable separately via [`pool_idle_bytes`].
 //!
-//! Enabled by default; `CPGAN_POOL=0` or [`set_pool_enabled`]`(false)`
-//! disables it (every allocation then counts as a [`pool_misses`] miss,
-//! which is how the pooled-vs-unpooled allocation benchmark measures).
+//! Enabled by default; [`set_pool_enabled`]`(false)` disables it (every
+//! allocation then counts as a [`pool_misses`] miss, which is how the
+//! pooled-vs-unpooled comparison in `tests/pool_reuse.rs` measures).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
@@ -92,8 +92,8 @@ const POOL_BUCKET_CAP: usize = 8;
 /// allocator.
 const POOL_IDLE_CAP_BYTES: usize = 256 << 20;
 
-/// Tri-state pool flag: 0 = unresolved, 1 = off, 2 = on.
-static POOL_ENABLED: AtomicU8 = AtomicU8::new(0);
+/// Whether the pool is on.
+static POOL_ENABLED: AtomicBool = AtomicBool::new(true);
 /// Allocations served from a free list.
 static POOL_HITS: AtomicU64 = AtomicU64::new(0);
 /// Allocations that went to the allocator (includes all allocations while
@@ -110,31 +110,16 @@ thread_local! {
     static IDLE_LOCAL: RefCell<usize> = const { RefCell::new(0) };
 }
 
-/// Whether the buffer pool is on (default: yes; `CPGAN_POOL=0` disables).
+/// Whether the buffer pool is on (default: yes).
 #[inline]
 pub fn pool_enabled() -> bool {
-    match POOL_ENABLED.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => resolve_pool_enabled(),
-    }
+    POOL_ENABLED.load(Ordering::Relaxed)
 }
 
-/// First-call resolution from the `CPGAN_POOL` environment variable.
-#[cold]
-fn resolve_pool_enabled() -> bool {
-    let off = std::env::var("CPGAN_POOL")
-        .map(|v| v.trim() == "0")
-        .unwrap_or(false);
-    POOL_ENABLED.store(if off { 1 } else { 2 }, Ordering::Relaxed);
-    !off
-}
-
-/// Turns the pool on or off programmatically (wins over `CPGAN_POOL`).
-/// Disabling does not drop already-idle buffers; call [`pool_clear`] too
-/// when measuring a pool-free baseline.
+/// Turns the pool on or off. Disabling does not drop already-idle
+/// buffers; call [`pool_clear`] too when measuring a pool-free baseline.
 pub fn set_pool_enabled(on: bool) {
-    POOL_ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    POOL_ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Allocations served from a free list since the last [`reset_pool_stats`].
@@ -307,14 +292,12 @@ mod tests {
         let before_idle = pool_idle_bytes();
         let m = Matrix::zeros(977, 3);
         drop(m); // checked in (pool is on by default)
-        if pool_enabled() {
-            assert!(pool_idle_bytes() >= before_idle);
-            let hits_before = pool_hits();
-            let m2 = Matrix::zeros(977, 3);
-            assert!(pool_hits() > hits_before, "re-allocation must hit the pool");
-            assert!(m2.as_slice().iter().all(|&v| v == 0.0));
-            drop(m2);
-        }
+        assert!(pool_idle_bytes() >= before_idle);
+        let hits_before = pool_hits();
+        let m2 = Matrix::zeros(977, 3);
+        assert!(pool_hits() > hits_before, "re-allocation must hit the pool");
+        assert!(m2.as_slice().iter().all(|&v| v == 0.0));
+        drop(m2);
         pool_clear();
     }
 }

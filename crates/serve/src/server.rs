@@ -42,9 +42,8 @@ use std::time::Duration;
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:8787` (`:0` picks a free port).
     pub addr: String,
-    /// Worker threads; `0` = `CPGAN_SERVE_WORKERS` env if set, else the
-    /// `cpgan-parallel` thread count (`CPGAN_THREADS` /
-    /// `available_parallelism`).
+    /// Worker threads; `0` = the `cpgan-parallel` thread count
+    /// (`CPGAN_THREADS` / `available_parallelism`).
     pub workers: usize,
     /// Bounded queue depth; admission beyond it is rejected with `429`.
     pub queue_depth: usize,
@@ -215,11 +214,6 @@ impl Server {
         self.shared.workers
     }
 
-    /// Jobs currently queued (admission-side observability).
-    pub fn queue_len(&self) -> usize {
-        self.shared.queue.len()
-    }
-
     /// Gracefully drains the server: stops accepting, answers everything
     /// already admitted, and joins all threads. Equivalent to dropping
     /// the server, spelled out for call sites that mean it.
@@ -268,18 +262,11 @@ fn join_quietly(handle: JoinHandle<()>, who: &str) {
     }
 }
 
-/// `cfg.workers` if positive, else `CPGAN_SERVE_WORKERS`, else the
-/// `cpgan-parallel` thread count. Always at least 1.
+/// `cfg.workers` if positive, else the `cpgan-parallel` thread count.
+/// Always at least 1.
 fn resolve_workers(configured: usize) -> usize {
     if configured > 0 {
         return configured;
-    }
-    if let Ok(v) = std::env::var("CPGAN_SERVE_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
     }
     cpgan_parallel::current_threads().max(1)
 }

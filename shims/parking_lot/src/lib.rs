@@ -1,8 +1,8 @@
 //! Offline stand-in for [`parking_lot`](https://crates.io/crates/parking_lot).
 //!
-//! Wraps `std::sync` primitives with parking_lot's non-poisoning API surface:
-//! `lock()` / `read()` / `write()` return guards directly instead of
-//! `Result`s, recovering the inner data if a previous holder panicked.
+//! Wraps `std::sync::Mutex` with parking_lot's non-poisoning API surface:
+//! `lock()` returns the guard directly instead of a `Result`, recovering
+//! the inner data if a previous holder panicked.
 
 #![forbid(unsafe_code)]
 
@@ -10,10 +10,6 @@ use std::sync;
 
 /// Re-export of the std guard type returned by [`Mutex::lock`].
 pub type MutexGuard<'a, T> = sync::MutexGuard<'a, T>;
-/// Re-export of the std guard type returned by [`RwLock::read`].
-pub type RwLockReadGuard<'a, T> = sync::RwLockReadGuard<'a, T>;
-/// Re-export of the std guard type returned by [`RwLock::write`].
-pub type RwLockWriteGuard<'a, T> = sync::RwLockWriteGuard<'a, T>;
 
 /// A mutual-exclusion lock with parking_lot's infallible `lock()` API.
 #[derive(Debug, Default)]
@@ -45,68 +41,6 @@ impl<T: ?Sized> Mutex<T> {
             .lock()
             .unwrap_or_else(sync::PoisonError::into_inner)
     }
-
-    /// Attempts to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(guard) => Some(guard),
-            Err(sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Returns a mutable reference to the protected value (no locking
-    /// needed: `&mut self` proves exclusive access).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
-/// A reader-writer lock with parking_lot's infallible `read()`/`write()` API.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new reader-writer lock protecting `value`.
-    pub const fn new(value: T) -> Self {
-        RwLock {
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access, blocking until available.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.inner
-            .read()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-
-    /// Acquires exclusive write access, blocking until available.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.inner
-            .write()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-
-    /// Returns a mutable reference to the protected value.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
 }
 
 #[cfg(test)]
@@ -119,13 +53,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn rwlock_basic() {
-        let l = RwLock::new(vec![1, 2]);
-        l.write().push(3);
-        assert_eq!(l.read().len(), 3);
     }
 
     #[test]
