@@ -9,13 +9,19 @@
 //! 1. for every node `i`, sample one edge from the categorical distribution
 //!    given by row `i` of the probability matrix;
 //! 2. fill the remainder with the globally largest probability entries.
+//!
+//! Most rows of a late generation round belong to nodes that are seeded
+//! and at their degree budget, which neither step reads;
+//! [`GraphAssembler::add_subgraph_decoded`] asks for only the rows a merge
+//! can read (DESIGN.md §16).
 
 use cpgan_graph::{Graph, GraphBuilder, NodeId};
 use cpgan_nn::Matrix;
 use rand::Rng;
+use std::borrow::Cow;
 
 /// Incrementally assembles an `n`-node graph with a target edge count.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct GraphAssembler {
     n: usize,
     target_m: usize,
@@ -103,6 +109,109 @@ impl GraphAssembler {
     ) -> usize {
         let ns = nodes.len();
         assert_eq!(probs.shape(), (ns, ns), "probability matrix shape");
+        let mut decoded = Decoded {
+            probs: Cow::Borrowed(probs),
+            complete: true,
+            // Every row is decoded already, so this is never called.
+            decode: |_: &[usize]| probs.clone(),
+        };
+        self.merge(nodes, &mut decoded, budget, rng)
+    }
+
+    /// [`add_subgraph`](Self::add_subgraph) with the probabilities decoded
+    /// on demand: `decode(rows)` must return the `rows.len()` square matrix
+    /// of link probabilities among the listed local rows (ascending), each
+    /// entry bit-identical to the same entry of the full `n_s x n_s`
+    /// matrix. Adds the same edges, consumes `rng` identically and returns
+    /// the same count as `add_subgraph` on the full matrix.
+    ///
+    /// Only the live rows are decoded: rows whose node has not had its
+    /// step-1 edge yet, or is still under its degree budget. A round whose
+    /// merge reads nothing (no unseeded row and fewer than two rows under
+    /// budget) calls `decode` not at all; a step-1 fallback that needs a
+    /// whole row calls it a second time, for every row.
+    pub fn add_subgraph_decoded<R: Rng>(
+        &mut self,
+        nodes: &[NodeId],
+        budget: usize,
+        rng: &mut R,
+        mut decode: impl FnMut(&[usize]) -> Matrix,
+    ) -> usize {
+        let Some(rows) = self.rows_to_decode(nodes, budget) else {
+            return 0;
+        };
+        let ns = nodes.len();
+        let block = decode(&rows);
+        assert_eq!(
+            block.shape(),
+            (rows.len(), rows.len()),
+            "decoded block shape"
+        );
+        let complete = rows.len() == ns;
+        let probs = if complete {
+            block
+        } else {
+            // Local coordinates for the merge; the entries of rows left out
+            // stay zero and are never read.
+            let mut probs = Matrix::zeros(ns, ns);
+            for (a, &i) in rows.iter().enumerate() {
+                let row = probs.row_mut(i);
+                for (b, &j) in rows.iter().enumerate() {
+                    row[j] = block.get(a, b);
+                }
+            }
+            probs
+        };
+        let mut decoded = Decoded {
+            probs: Cow::Owned(probs),
+            complete,
+            decode,
+        };
+        self.merge(nodes, &mut decoded, budget, rng)
+    }
+
+    /// The local rows a merge of `nodes` has to decode, ascending, or
+    /// `None` when it reads no probability at all. Step 1 reads the row of
+    /// an unseeded node at its under-budget partners; step 2 reads pairs of
+    /// under-budget nodes. Degrees and the seeded set only grow during a
+    /// merge, so the rows live now cover every read (the step-1 fallback
+    /// aside, which decodes every row). The live rows are padded with dead
+    /// ones up to the next power of two: the decode's buffers then come in
+    /// a handful of sizes the buffer pool keeps warm (DESIGN.md §10).
+    fn rows_to_decode(&self, nodes: &[NodeId], budget: usize) -> Option<Vec<usize>> {
+        let unseeded = |v: &NodeId| !self.seeded.contains(v);
+        let open = nodes.iter().filter(|&&v| !self.over_budget(v)).count();
+        if budget.min(self.remaining()) == 0 || (open < 2 && !nodes.iter().any(unseeded)) {
+            return None;
+        }
+        let live: Vec<bool> = nodes
+            .iter()
+            .map(|v| !self.over_budget(*v) || unseeded(v))
+            .collect();
+        let n_live = live.iter().filter(|&&l| l).count();
+        let mut pad = n_live.next_power_of_two().min(nodes.len()) - n_live;
+        let rows = (0..nodes.len())
+            .filter(|&i| {
+                live[i]
+                    || (pad > 0 && {
+                        pad -= 1;
+                        true
+                    })
+            })
+            .collect();
+        Some(rows)
+    }
+
+    /// The merge both entry points share: at most `budget` edges from one
+    /// subgraph whose probabilities `decoded` holds.
+    fn merge<R: Rng, D: FnMut(&[usize]) -> Matrix>(
+        &mut self,
+        nodes: &[NodeId],
+        decoded: &mut Decoded<'_, D>,
+        budget: usize,
+        rng: &mut R,
+    ) -> usize {
+        let ns = nodes.len();
         let budget = budget.min(self.remaining());
         let mut added = 0usize;
 
@@ -116,26 +225,32 @@ impl GraphAssembler {
             if self.seeded.contains(&nodes[i]) {
                 continue;
             }
-            let row = probs.row(i);
             // Prefer under-budget picks so repeated categorical seeds cannot
             // inflate one node far past its degree budget; fall back to the
             // unrestricted row when everything is saturated.
             let allowed = |j: usize| j != i && !self.over_budget(nodes[j]);
-            let mut total: f32 = row
+            let restricted_total: f32 = decoded
+                .probs
+                .row(i)
                 .iter()
                 .enumerate()
                 .filter(|&(j, _)| allowed(j))
                 .map(|(_, &p)| p)
                 .sum();
-            let restricted = total > 0.0;
+            let restricted = restricted_total > 0.0;
             if !restricted {
-                total = row
-                    .iter()
+                decoded.decode_all();
+            }
+            let row = decoded.probs.row(i);
+            let total = if restricted {
+                restricted_total
+            } else {
+                row.iter()
                     .enumerate()
                     .filter(|&(j, _)| j != i)
                     .map(|(_, &p)| p)
-                    .sum();
-            }
+                    .sum()
+            };
             if total <= 0.0 {
                 continue;
             }
@@ -161,7 +276,7 @@ impl GraphAssembler {
 
         // Step 2: top entries of the upper triangle until the budget is hit.
         if added < budget {
-            for (i, j) in self.ranked_pairs(nodes, probs) {
+            for (i, j) in self.ranked_pairs(nodes, &decoded.probs) {
                 if added >= budget {
                     break;
                 }
@@ -243,6 +358,26 @@ impl GraphAssembler {
             b.push_edge(u, v);
         }
         b.build()
+    }
+}
+
+/// One subgraph's `n_s x n_s` link probabilities, decoded for the rows a
+/// merge reads so far (all of them once `complete`); `decode` supplies
+/// every row on demand.
+struct Decoded<'a, D> {
+    probs: Cow<'a, Matrix>,
+    complete: bool,
+    decode: D,
+}
+
+impl<D: FnMut(&[usize]) -> Matrix> Decoded<'_, D> {
+    /// Decodes every row, for a read the live rows do not cover.
+    fn decode_all(&mut self) {
+        if !self.complete {
+            let all: Vec<usize> = (0..self.probs.rows()).collect();
+            self.probs = Cow::Owned((self.decode)(&all));
+            self.complete = true;
+        }
     }
 }
 

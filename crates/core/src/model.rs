@@ -76,6 +76,27 @@ struct SimState {
     degrees: Vec<f64>,
 }
 
+/// Decode work of one [`CpGan::generate`] call, recorded as obs counters
+/// once per call (DESIGN.md §9, §16).
+#[derive(Default)]
+struct DecodeWork {
+    /// Rows decoded, pad rows and fallback decodes included.
+    rows_decoded: usize,
+    /// Rounds whose merge could read nothing, so nothing was decoded.
+    rounds_skipped: usize,
+    /// Rounds whose step-1 fallback decoded every row a second time.
+    rounds_fallback: usize,
+}
+
+impl DecodeWork {
+    fn record(&self, rows_sampled: usize) {
+        cpgan_obs::counter_add("core.generate.rows_sampled", rows_sampled as u64);
+        cpgan_obs::counter_add("core.generate.rows_decoded", self.rows_decoded as u64);
+        cpgan_obs::counter_add("core.generate.rounds_skipped", self.rounds_skipped as u64);
+        cpgan_obs::counter_add("core.generate.rounds_fallback", self.rounds_fallback as u64);
+    }
+}
+
 impl CpGan {
     /// Builds an untrained model.
     pub fn new(cfg: CpGanConfig) -> Self {
@@ -474,7 +495,8 @@ impl CpGan {
         let _span = cpgan_obs::span("core.generate");
         let ns = self.cfg.sample_size.min(n).max(2);
         let mut asm = GraphAssembler::new(n, m);
-        if let Some(state) = self.sim_state.as_ref().filter(|s| s.mu.rows() == n) {
+        let posterior = self.sim_state.as_ref().filter(|s| s.mu.rows() == n);
+        if let Some(state) = posterior {
             // Degree budgets equal to the observed degrees: top-k fills the
             // highest-probability pairs under the budgets and the residual
             // Chung-Lu pass tops every node up toward its target degree, so
@@ -487,47 +509,72 @@ impl CpGan {
         let per_round = ((m as f64 / rounds_estimate).ceil() as usize).max(1);
         let max_rounds = (rounds_estimate as usize) * 8 + 16;
         let mut round = 0;
-        let posterior = self.sim_state.as_ref().filter(|s| s.mu.rows() == n);
         // Degree-proportional node sampling when degrees are known.
         let weights: Vec<f64> = match posterior {
             Some(s) => s.degrees.clone(),
             None => vec![1.0; n],
         };
         let mut ids: Vec<NodeId> = (0..n as NodeId).collect();
+        let mut work = DecodeWork::default();
         while !asm.is_complete() && round < max_rounds {
             round += 1;
             // Degree-proportional without replacement for the first `ns`
             // slots.
             sampling::weighted_prefix_shuffle(&mut ids, &weights, ns, rng);
             let nodes: Vec<NodeId> = ids[..ns].to_vec();
-            let tape = Tape::new();
             let mut noise_rng = StdRng::seed_from_u64(rng.gen());
-            let z = match posterior {
+            match posterior {
                 Some(state) => {
-                    // z_i = mu_i + sigma * eps for the sampled nodes.
-                    let d = state.mu.cols();
-                    let mut z = Matrix::zeros(ns, d);
-                    let eps = cpgan_nn::init::standard_normal(&mut noise_rng, ns, d);
-                    for (r, &v) in nodes.iter().enumerate() {
-                        for c in 0..d {
-                            z.set(
-                                r,
-                                c,
-                                state.mu.get(v as usize, c) + state.sigma.get(0, c) * eps.get(r, c),
-                            );
-                        }
+                    let eps = cpgan_nn::init::standard_normal(&mut noise_rng, ns, state.mu.cols());
+                    let mut decodes = 0;
+                    asm.add_subgraph_decoded(&nodes, per_round, rng, |rows| {
+                        decodes += 1;
+                        work.rows_decoded += rows.len();
+                        self.decode_posterior_rows(state, &nodes, &eps, rows)
+                    });
+                    match decodes {
+                        0 => work.rounds_skipped += 1,
+                        1 => {}
+                        _ => work.rounds_fallback += 1,
                     }
-                    tape.constant(z)
                 }
-                None => self.vi.sample_prior(&tape, ns, &mut noise_rng),
-            };
-            let probs = self.decode_logits(&tape, &z).sigmoid().value();
-            asm.add_subgraph(&nodes, &probs, per_round, rng);
+                None => {
+                    // No budgets, so every row is live: the round decodes
+                    // all of them straight from the prior, with no copy.
+                    let tape = Tape::new();
+                    let z = self.vi.sample_prior(&tape, ns, &mut noise_rng);
+                    let probs = self.decode_logits(&tape, &z).sigmoid().value();
+                    work.rows_decoded += ns;
+                    asm.add_subgraph(&nodes, &probs, per_round, rng);
+                }
+            }
         }
+        work.record(round * ns);
         // Top up any deficit with residual-degree Chung-Lu edges so the
         // output hits the edge target with the right degree sequence.
         asm.fill_residual(rng);
         asm.build()
+    }
+
+    /// Link probabilities among the local rows `rows` of one posterior
+    /// round: row `i` decodes `z_i = mu_v + sigma * eps_i` for its node
+    /// `v = nodes[i]`. Decoding works row by row and every product
+    /// accumulates in ascending-k order (DESIGN.md §10), so each entry has
+    /// the bits it has when all `n_s` rows are decoded.
+    fn decode_posterior_rows(
+        &self,
+        state: &SimState,
+        nodes: &[NodeId],
+        eps: &Matrix,
+        rows: &[usize],
+    ) -> Matrix {
+        let tape = Tape::new();
+        let z = Matrix::from_fn(rows.len(), state.mu.cols(), |k, c| {
+            let i = rows[k];
+            state.mu.get(nodes[i] as usize, c) + state.sigma.get(0, c) * eps.get(i, c)
+        });
+        let z = tape.constant(z);
+        self.decode_logits(&tape, &z).sigmoid().value()
     }
 
     /// Encodes `g` and returns the full link-probability matrix (`n x n`).

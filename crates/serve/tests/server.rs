@@ -220,15 +220,36 @@ fn full_queue_rejects_with_429_and_retry_after() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A generation request for `model` that takes at least `min_ms` in this
+/// build on this host: its node count and the milliseconds it took.
+fn slow_generation(model: &CpGan, min_ms: u64) -> (usize, u64) {
+    let mut nodes = 16_000;
+    loop {
+        let sw = cpgan_obs::Stopwatch::start();
+        model.generate(nodes, 2 * nodes, &mut StdRng::seed_from_u64(1));
+        let ms = sw.elapsed_ns() / 1_000_000;
+        if ms >= min_ms || nodes >= 1 << 20 {
+            return (nodes, ms);
+        }
+        nodes *= 2;
+    }
+}
+
 #[test]
 fn queue_wait_past_deadline_answers_408_without_generating() {
-    let path = temp_model_path("queue_deadline", &CpGan::new(CpGanConfig::tiny()));
+    // The deadline is a quarter of a generation timed here, so the
+    // outcome does not depend on how fast this build generates: the
+    // in-flight request is popped far inside its deadline, and the one
+    // queued behind it waits about four deadlines.
+    let model = CpGan::new(CpGanConfig::tiny());
+    let (nodes, gen_ms) = slow_generation(&model, 400);
+    let path = temp_model_path("queue_deadline", &model);
     let server = Server::start(
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 1,
             queue_depth: 8,
-            deadline_ms: 120,
+            deadline_ms: gen_ms / 4,
             batch_size: 1,
             gen_threads: Some(1),
             cache_bytes: 0,
@@ -238,17 +259,24 @@ fn queue_wait_past_deadline_answers_408_without_generating() {
     )
     .unwrap();
     let addr = server.addr();
+    let generate = |seed: u64| {
+        let body = format!(r#"{{"nodes":{nodes},"edges":{},"seed":{seed}}}"#, 2 * nodes);
+        common::generate_request(&body, true)
+    };
 
-    // The first generation occupies the sole worker for well over the
-    // 120ms deadline (n=16000 takes ~300ms in release, seconds in
-    // debug); the second request is admitted behind it and must come
-    // back 408 once the worker reaches it — generation never starts for
-    // a request that has already missed its deadline.
+    // One write carries a health check and, pipelined behind it, the
+    // first generation. The event loop answers the health check and
+    // admits the generation in the same pass over this connection, so
+    // once the health reply is here the first request is ahead of any
+    // request sent afterwards; the sole worker takes it at once.
     let mut first = Client::connect(addr);
-    first.post_generate(r#"{"nodes":16000,"edges":32000,"seed":1}"#);
-    std::thread::sleep(Duration::from_millis(40)); // worker has popped it
+    first.send_raw(format!("GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n{}", generate(1)).as_bytes());
+    assert_eq!(first.read_reply().status, 200);
+    // The second request is admitted behind it and must come back 408
+    // once the worker reaches it — generation never starts for a request
+    // that has already missed its deadline.
     let mut second = Client::connect(addr);
-    second.post_generate(r#"{"nodes":16000,"edges":32000,"seed":2}"#);
+    second.send_raw(generate(2).as_bytes());
 
     let reply = second.read_reply();
     assert_eq!(reply.status, 408, "queued-past-deadline request must 408");
