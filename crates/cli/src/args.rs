@@ -1,23 +1,31 @@
 //! Minimal `--key value` argument parsing (no external dependency).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+
+/// Flags every subcommand accepts.
+const GLOBAL_FLAGS: [&str; 2] = ["threads", "obs-out"];
 
 /// Parsed `--key value` pairs.
 #[derive(Debug, Default)]
 pub struct Args {
-    values: HashMap<String, String>,
+    values: BTreeMap<String, String>,
 }
 
 impl Args {
-    /// Parses alternating `--key value` tokens; rejects stray positionals
-    /// and flags without values.
-    pub fn parse(tokens: &[String]) -> Result<Args, String> {
-        let mut values = HashMap::new();
+    /// Parses alternating `--key value` tokens; rejects stray positionals,
+    /// flags without values, and flags outside `known` and the global
+    /// `--threads` / `--obs-out`, so a misspelt flag cannot silently fall
+    /// back to a default.
+    pub fn parse(tokens: &[String], known: &[&str]) -> Result<Args, String> {
+        let mut values = BTreeMap::new();
         let mut it = tokens.iter();
         while let Some(tok) = it.next() {
             let key = tok
                 .strip_prefix("--")
                 .ok_or_else(|| format!("unexpected argument '{tok}'"))?;
+            if !known.contains(&key) && !GLOBAL_FLAGS.contains(&key) {
+                return Err(format!("unknown flag --{key} for this subcommand"));
+            }
             let value = it
                 .next()
                 .ok_or_else(|| format!("flag --{key} needs a value"))?;
@@ -70,9 +78,11 @@ mod tests {
         v.iter().map(|s| s.to_string()).collect()
     }
 
+    const KNOWN: &[&str] = &["input", "epochs", "missing"];
+
     #[test]
     fn parses_pairs() {
-        let a = Args::parse(&toks(&["--input", "g.txt", "--epochs", "10"])).unwrap();
+        let a = Args::parse(&toks(&["--input", "g.txt", "--epochs", "10"]), KNOWN).unwrap();
         assert_eq!(a.require("input").unwrap(), "g.txt");
         assert_eq!(a.get_usize("epochs").unwrap(), Some(10));
         assert_eq!(a.get_usize("absent").unwrap(), None);
@@ -80,10 +90,18 @@ mod tests {
 
     #[test]
     fn rejects_bad_input() {
-        assert!(Args::parse(&toks(&["positional"])).is_err());
-        assert!(Args::parse(&toks(&["--flag"])).is_err());
-        let a = Args::parse(&toks(&["--epochs", "abc"])).unwrap();
+        assert!(Args::parse(&toks(&["positional"]), KNOWN).is_err());
+        assert!(Args::parse(&toks(&["--epochs"]), KNOWN).is_err());
+        let a = Args::parse(&toks(&["--epochs", "abc"]), KNOWN).unwrap();
         assert!(a.get_usize("epochs").is_err());
         assert!(a.require("missing").is_err());
+    }
+
+    #[test]
+    fn rejects_flags_the_subcommand_does_not_read() {
+        let err = Args::parse(&toks(&["--epoch", "5"]), KNOWN).unwrap_err();
+        assert!(err.contains("--epoch "), "{err}");
+        let a = Args::parse(&toks(&["--threads", "2", "--obs-out", "o.jsonl"]), KNOWN).unwrap();
+        assert_eq!(a.get_usize("threads").unwrap(), Some(2));
     }
 }

@@ -60,6 +60,54 @@ fn usage() -> &'static str {
      (see DESIGN.md \u{a7}9)"
 }
 
+/// A subcommand's entry point.
+type Handler = fn(&Args) -> Result<(), String>;
+
+/// Each subcommand's entry point and the flags it reads, besides the
+/// global `--threads` and `--obs-out`: any other flag is an error, not a
+/// silent default.
+const COMMANDS: &[(&str, Handler, &[&str])] = &[
+    (
+        "fit",
+        fit,
+        &["input", "model", "epochs", "sample-size", "seed"],
+    ),
+    (
+        "generate",
+        generate,
+        &["model", "output", "nodes", "edges", "seed"],
+    ),
+    ("stats", show_stats, &["input"]),
+    ("eval", eval, &["observed", "generated"]),
+    (
+        "serve",
+        serve,
+        &[
+            "model",
+            "addr",
+            "workers",
+            "queue-depth",
+            "deadline-ms",
+            "idle-ms",
+            "cache-mb",
+            "max-conns",
+        ],
+    ),
+    (
+        "shard",
+        shard,
+        &[
+            "input",
+            "output",
+            "max-shard-size",
+            "budget-mb",
+            "epochs",
+            "sample-size",
+            "seed",
+        ],
+    ),
+];
+
 fn run(argv: &[String]) -> Result<(), String> {
     let (cmd, rest) = argv.split_first().ok_or("missing subcommand")?;
     // `data` takes positional actions/names and bare `--offline`, which the
@@ -68,7 +116,11 @@ fn run(argv: &[String]) -> Result<(), String> {
     if cmd == "data" {
         return data::run(rest);
     }
-    let args = Args::parse(rest)?;
+    let (_, handler, flags) = COMMANDS
+        .iter()
+        .find(|(name, ..)| *name == cmd.as_str())
+        .ok_or_else(|| format!("unknown subcommand '{cmd}'"))?;
+    let args = Args::parse(rest, flags)?;
     // `--obs-out <path>` turns on observability collection and names the
     // JSONL sink (equivalent to CPGAN_OBS=1 CPGAN_OBS_OUT=<path>).
     let obs_out = args.get("obs-out");
@@ -81,15 +133,7 @@ fn run(argv: &[String]) -> Result<(), String> {
     // per-worker generation budget instead, so the override is applied to
     // worker threads rather than this (main) thread.
     let threads = args.get_usize("threads")?;
-    let dispatch = || match cmd.as_str() {
-        "fit" => fit(&args),
-        "generate" => generate(&args),
-        "stats" => show_stats(&args),
-        "eval" => eval(&args),
-        "serve" => serve(&args),
-        "shard" => shard(&args),
-        other => Err(format!("unknown subcommand '{other}'")),
-    };
+    let dispatch = || handler(&args);
     let result = match threads {
         Some(n) if cmd != "serve" => cpgan_parallel::with_thread_count(n, dispatch),
         _ => dispatch(),
@@ -182,7 +226,6 @@ fn serve(args: &Args) -> Result<(), String> {
         // `--cache-mb 0` disables the generation cache entirely.
         cache_bytes: args.get_usize("cache-mb")?.unwrap_or(16) * 1024 * 1024,
         max_conns: args.get_usize("max-conns")?.unwrap_or(1024),
-        ..ServeConfig::default()
     };
     // The metrics endpoint serves the merged cpgan-obs report; a server
     // without collection would serve an empty document forever.

@@ -140,3 +140,53 @@ fn missing_flag_reports_which() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--model"), "{stderr}");
 }
+
+#[test]
+fn flags_a_subcommand_does_not_read_fail_with_usage() {
+    let graph = tmp("unknown_flag_graph.txt");
+    write_demo_graph(&graph);
+    let model = tmp("unknown_flag_model.json");
+    std::fs::remove_file(&model).ok();
+    let cases: [&[&str]; 3] = [
+        &[
+            "fit",
+            "--input",
+            graph.to_str().unwrap(),
+            "--model",
+            model.to_str().unwrap(),
+            "--epoch",
+            "5",
+        ],
+        &["serve", "--model", "m.json", "--batch-size", "4"],
+        &["stats", "--input", graph.to_str().unwrap(), "--seed", "3"],
+    ];
+    for args in cases {
+        let out = Command::new(bin()).args(args).output().expect("run cpgan");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let flag = args[args.len() - 2];
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} ")),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
+    assert!(!model.exists(), "a rejected fit must not train");
+
+    // The global flags stay accepted everywhere.
+    let out = Command::new(bin())
+        .args([
+            "stats",
+            "--input",
+            graph.to_str().unwrap(),
+            "--threads",
+            "1",
+        ])
+        .output()
+        .expect("run cpgan stats --threads");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}

@@ -39,12 +39,14 @@ pub struct GraphAssembler {
 
 impl GraphAssembler {
     /// Creates an assembler for `n` nodes aiming at `target_m` edges.
+    /// The edge set grows as edges land rather than being sized from
+    /// `target_m`, which a caller may pass unchecked.
     pub fn new(n: usize, target_m: usize) -> Self {
         let max = n.saturating_mul(n.saturating_sub(1)) / 2;
         GraphAssembler {
             n,
             target_m: target_m.min(max),
-            edges: std::collections::HashSet::with_capacity(target_m.min(max) * 2),
+            edges: std::collections::HashSet::new(),
             seeded: std::collections::HashSet::new(),
             degree: vec![0; n],
             budgets: None,

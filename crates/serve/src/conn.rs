@@ -4,19 +4,16 @@
 //! (while responding) a [`ResponseWriter`]. Connections move through a
 //! strict sequential state machine — `Reading → Dispatched → Writing →
 //! Reading` — so pipelined requests on one socket are answered in order
-//! (bytes for later requests simply wait in the buffer). The writer
-//! streams response bodies straight from their backing buffer (owned or
-//! a shared `Arc` cache entry) with `transfer-encoding: chunked` framing
-//! for large bodies, so serving a cached graph never copies the body.
+//! (bytes for later requests simply wait in the buffer). Every body is
+//! complete before its head is encoded, so each response is framed by
+//! `content-length` and written straight from its shared `Arc` body:
+//! serving a cached graph never copies it.
 
-use crate::http::{encode_head, Body, Response};
+use crate::http::{encode_head, Response};
 use cpgan_obs::Stopwatch;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-
-/// Bodies at or above this size are streamed with chunked framing (and
-/// chunks are emitted at this granularity).
-pub const CHUNK_BYTES: usize = 64 * 1024;
+use std::sync::Arc;
 
 /// Where a connection is in its request/response cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,12 +49,6 @@ pub struct Conn {
     pub close_after_write: bool,
     /// The peer half-closed its read side.
     pub eof: bool,
-    /// The current request speaks HTTP/1.1 (may receive chunked
-    /// framing). Tracked on the connection so completions arriving from
-    /// workers frame correctly for HTTP/1.0 peers.
-    pub http11: bool,
-    /// Requests answered on this connection (observability).
-    pub served: u64,
 }
 
 impl Conn {
@@ -72,8 +63,6 @@ impl Conn {
             idle_sw: Stopwatch::start(),
             close_after_write: false,
             eof: false,
-            http11: true,
-            served: 0,
         }
     }
 
@@ -107,19 +96,15 @@ impl Conn {
         Ok(total)
     }
 
-    /// Begins writing `response`; `allow_chunked` is false for HTTP/1.0
-    /// peers (they cannot decode chunked framing).
-    pub fn begin_response(&mut self, response: Response, allow_chunked: bool) {
-        if !self.close_after_write {
-            // An error status makes request framing unrecoverable for
-            // 400/408/413, and 429/503 answers are close-mode too: the
-            // client should back off and reconnect.
-            if response.status != 200 {
-                self.close_after_write = true;
-            }
+    /// Begins writing `response`.
+    pub fn begin_response(&mut self, response: Response) {
+        // An error status makes request framing unrecoverable for
+        // 400/408/413, and 429/503 answers are close-mode too: the
+        // client should back off and reconnect.
+        if response.status != 200 {
+            self.close_after_write = true;
         }
-        let keep_alive = !self.close_after_write;
-        self.writer = Some(ResponseWriter::new(response, keep_alive, allow_chunked));
+        self.writer = Some(ResponseWriter::new(response, !self.close_after_write));
         self.state = ConnState::Writing;
     }
 
@@ -135,7 +120,6 @@ impl Conn {
         if done {
             self.writer = None;
             self.request_sw = None;
-            self.served += 1;
             self.idle_sw = Stopwatch::start();
             self.state = ConnState::Reading;
         }
@@ -143,54 +127,26 @@ impl Conn {
     }
 }
 
-/// Incremental, non-blocking response serialization.
-///
-/// The head is rendered once; body bytes are written directly from the
-/// [`Body`] (owned or shared) without intermediate copies. Bodies of
-/// [`CHUNK_BYTES`] or more use chunked transfer-encoding: framing bytes
-/// live in a small staging buffer between body slices, so even a
-/// multi-megabyte cached graph streams with zero body-sized allocations.
+/// Incremental, non-blocking response serialization: the head is
+/// rendered once, then the body is written from its shared buffer
+/// without intermediate copies.
 pub struct ResponseWriter {
     head: Vec<u8>,
-    head_pos: usize,
-    body: Body,
-    body_pos: usize,
-    /// End of the body range currently being written.
-    chunk_end: usize,
-    /// Pending framing bytes (chunk size lines / terminator).
-    stage: Vec<u8>,
-    stage_pos: usize,
-    chunked: bool,
-    /// The zero-chunk terminator has been staged.
-    terminated: bool,
+    body: Arc<Vec<u8>>,
+    /// Bytes written so far, head first, then body.
+    written: usize,
     status: u16,
 }
 
 impl ResponseWriter {
-    /// Prepares a writer for `response`. Chunked framing is used when
-    /// the peer supports it and the body is [`CHUNK_BYTES`] or larger.
-    pub fn new(response: Response, keep_alive: bool, allow_chunked: bool) -> ResponseWriter {
-        let chunked = allow_chunked && response.body.len() >= CHUNK_BYTES;
-        let head = encode_head(&response, keep_alive, chunked);
-        let status = response.status;
-        let mut w = ResponseWriter {
-            head,
-            head_pos: 0,
+    /// Prepares a writer for `response`, framed by `content-length`.
+    pub fn new(response: Response, keep_alive: bool) -> ResponseWriter {
+        ResponseWriter {
+            head: encode_head(&response, keep_alive, false),
             body: response.body,
-            body_pos: 0,
-            chunk_end: 0,
-            stage: Vec::new(),
-            stage_pos: 0,
-            chunked,
-            terminated: false,
-            status,
-        };
-        if w.chunked {
-            w.stage_next_chunk(true);
-        } else {
-            w.chunk_end = w.body.len();
+            written: 0,
+            status: response.status,
         }
-        w
     }
 
     /// The response's status code (for logging/counters at completion).
@@ -198,45 +154,20 @@ impl ResponseWriter {
         self.status
     }
 
-    fn stage_next_chunk(&mut self, first: bool) {
-        self.stage.clear();
-        self.stage_pos = 0;
-        if !first {
-            // Terminates the previous chunk's data.
-            self.stage.extend_from_slice(b"\r\n");
-        }
-        let remaining = self.body.len() - self.body_pos;
-        if remaining == 0 {
-            self.stage.extend_from_slice(b"0\r\n\r\n");
-            self.terminated = true;
-        } else {
-            let size = remaining.min(CHUNK_BYTES);
-            self.stage
-                .extend_from_slice(format!("{size:x}\r\n").as_bytes());
-            self.chunk_end = self.body_pos + size;
-        }
-    }
-
     /// Writes as much as the sink accepts. `Ok(true)` = response fully
     /// written; `Ok(false)` = sink is full (`WouldBlock`).
     pub fn write_to(&mut self, sink: &mut impl Write) -> io::Result<bool> {
         loop {
-            let pending: &[u8] = if self.head_pos < self.head.len() {
-                &self.head[self.head_pos..]
-            } else if self.stage_pos < self.stage.len() {
-                &self.stage[self.stage_pos..]
-            } else if self.body_pos < self.chunk_end {
-                &self.body.as_slice()[self.body_pos..self.chunk_end]
-            } else {
-                if !self.chunked {
-                    return Ok(true);
-                }
-                if self.terminated {
-                    return Ok(true);
-                }
-                self.stage_next_chunk(false);
-                continue;
+            let pending = match self.head.get(self.written..) {
+                Some(rest) if !rest.is_empty() => rest,
+                _ => self
+                    .body
+                    .get(self.written - self.head.len()..)
+                    .unwrap_or_default(),
             };
+            if pending.is_empty() {
+                return Ok(true);
+            }
             match sink.write(pending) {
                 Ok(0) => {
                     return Err(io::Error::new(
@@ -244,15 +175,7 @@ impl ResponseWriter {
                         "socket accepted zero bytes",
                     ))
                 }
-                Ok(n) => {
-                    if self.head_pos < self.head.len() {
-                        self.head_pos += n;
-                    } else if self.stage_pos < self.stage.len() {
-                        self.stage_pos += n;
-                    } else {
-                        self.body_pos += n;
-                    }
-                }
+                Ok(n) => self.written += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
@@ -265,56 +188,28 @@ impl ResponseWriter {
 mod tests {
     use super::*;
     use crate::http::parse_reply;
-    use std::sync::Arc;
 
-    fn drain(mut w: ResponseWriter) -> Vec<u8> {
-        let mut out = Vec::new();
-        assert!(w.write_to(&mut out).unwrap());
-        out
+    fn body_of(len: usize) -> Arc<Vec<u8>> {
+        Arc::new((0..len).map(|i| (i % 251) as u8).collect())
     }
 
     #[test]
-    fn small_bodies_use_content_length() {
-        let wire = drain(ResponseWriter::new(
-            Response::text(200, b"hello".to_vec()),
-            true,
-            true,
-        ));
-        let text = String::from_utf8(wire.clone()).unwrap();
-        assert!(text.contains("content-length: 5\r\n"), "{text}");
-        assert!(!text.contains("chunked"), "{text}");
-        let (reply, used) = parse_reply(&wire).unwrap().unwrap();
-        assert_eq!(reply.body, b"hello");
-        assert_eq!(used, wire.len());
-    }
-
-    #[test]
-    fn large_bodies_stream_chunked_and_round_trip() {
-        let body: Vec<u8> = (0..3 * CHUNK_BYTES + 17).map(|i| (i % 251) as u8).collect();
-        let wire = drain(ResponseWriter::new(
-            Response::shared(200, Arc::new(body.clone())),
-            true,
-            true,
-        ));
-        let head = String::from_utf8_lossy(&wire[..128]);
-        assert!(head.contains("transfer-encoding: chunked"), "{head}");
-        let (reply, used) = parse_reply(&wire).unwrap().unwrap();
-        assert_eq!(reply.body, body, "chunked framing must round-trip");
-        assert_eq!(used, wire.len());
-    }
-
-    #[test]
-    fn http10_peers_never_get_chunked_framing() {
-        let body = vec![b'z'; 2 * CHUNK_BYTES];
-        let wire = drain(ResponseWriter::new(
-            Response::text(200, body.clone()),
-            false,
-            false,
-        ));
-        let head = String::from_utf8_lossy(&wire[..128]);
-        assert!(!head.contains("chunked"), "{head}");
-        let (reply, _) = parse_reply(&wire).unwrap().unwrap();
-        assert_eq!(reply.body, body);
+    fn bodies_round_trip_with_content_length() {
+        for len in [0, 5, 3 * 64 * 1024 + 17] {
+            let body = body_of(len);
+            let mut w = ResponseWriter::new(Response::shared(200, Arc::clone(&body)), true);
+            let mut wire = Vec::new();
+            assert!(w.write_to(&mut wire).unwrap());
+            let head = String::from_utf8_lossy(&wire[..wire.len() - len]).into_owned();
+            assert!(
+                head.contains(&format!("content-length: {len}\r\n")),
+                "{head}"
+            );
+            assert!(!head.contains("transfer-encoding"), "{head}");
+            let (reply, used) = parse_reply(&wire).unwrap().unwrap();
+            assert_eq!(reply.body, *body);
+            assert_eq!(used, wire.len());
+        }
     }
 
     /// A sink that accepts at most N bytes per write and interleaves
@@ -342,11 +237,11 @@ mod tests {
 
     #[test]
     fn partial_writes_and_wouldblock_resume_cleanly() {
-        let body: Vec<u8> = (0..CHUNK_BYTES + 999).map(|i| (i % 17) as u8).collect();
-        let mut w = ResponseWriter::new(Response::text(200, body.clone()), true, true);
+        let body = body_of(64 * 1024 + 999);
+        let mut w = ResponseWriter::new(Response::shared(200, Arc::clone(&body)), true);
         let mut sink = Trickle {
             out: Vec::new(),
-            budget: 1333,
+            budget: 37,
             starve: false,
         };
         let mut rounds = 0;
@@ -355,7 +250,7 @@ mod tests {
             assert!(rounds < 10_000, "writer failed to make progress");
         }
         let (reply, used) = parse_reply(&sink.out).unwrap().unwrap();
-        assert_eq!(reply.body, body);
+        assert_eq!(reply.body, *body);
         assert_eq!(used, sink.out.len());
         assert!(rounds > 1, "trickle sink must actually fragment writes");
     }
@@ -367,18 +262,12 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server_side, _) = listener.accept().unwrap();
-        server_side.set_nonblocking(true).unwrap();
         drop(client);
         let mut conn = Conn::new(server_side);
-        conn.begin_response(Response::json(400, "{}".to_string()), true);
+        conn.begin_response(Response::json(400, "{}".to_string()));
         assert!(conn.close_after_write);
         assert_eq!(conn.state, ConnState::Writing);
-        let head = String::from_utf8(encode_head(
-            &Response::json(400, "{}".to_string()),
-            false,
-            false,
-        ))
-        .unwrap();
-        assert!(head.contains("connection: close"));
+        let head = &conn.writer.as_ref().unwrap().head;
+        assert!(String::from_utf8_lossy(head).contains("connection: close\r\n"));
     }
 }

@@ -94,25 +94,8 @@ fn event_loop(listener: TcpListener, shared: &Shared) -> std::io::Result<()> {
         for completion in shared.take_completions() {
             let remove = match conns.get_mut(&completion.conn_id) {
                 Some(conn) => {
-                    let chunk_ok = conn.http11;
-                    matches!(
-                        respond(
-                            completion.conn_id,
-                            conn,
-                            completion.response,
-                            chunk_ok,
-                            poller
-                        ),
-                        Flow::Remove
-                    ) || {
-                        // Keep-alive completion finished instantly: the
-                        // buffer may hold the next pipelined request.
-                        conn.state == ConnState::Reading
-                            && matches!(
-                                advance_reading(completion.conn_id, conn, shared, poller),
-                                Flow::Remove
-                            )
-                    }
+                    let flow = respond(completion.conn_id, conn, completion.response, poller);
+                    after_write(completion.conn_id, conn, flow, shared, poller)
                 }
                 None => {
                     // The connection died (deadline, peer reset) before
@@ -222,7 +205,7 @@ fn accept_burst(
 fn turn_away(mut stream: TcpStream, err: &ServeError) {
     let response = server::error_response(err);
     let mut wire = http::encode_head(&response, false, false);
-    wire.extend_from_slice(response.body.as_slice());
+    wire.extend_from_slice(&response.body);
     let _ = stream.write_all(&wire);
 }
 
@@ -236,16 +219,24 @@ fn service_event(id: usize, conn: &mut Conn, shared: &Shared, poller: &Poller) -
             }
             matches!(advance_reading(id, conn, shared, poller), Flow::Remove)
         }
-        ConnState::Writing => match pump_write(id, conn, poller) {
-            Flow::Remove => true,
-            Flow::AwaitWritable => false,
-            Flow::KeepGoing => {
-                matches!(advance_reading(id, conn, shared, poller), Flow::Remove)
-            }
-        },
+        ConnState::Writing => {
+            let flow = pump_write(id, conn, poller);
+            after_write(id, conn, flow, shared, poller)
+        }
         // Dispatched sockets are deregistered; a stray event (e.g. a
         // wakeup raced the deregistration) is ignored.
         ConnState::Dispatched => false,
+    }
+}
+
+/// Follows a write step: once the response is out, the buffer may hold
+/// the next pipelined request. Returns `true` when the connection must
+/// be dropped.
+fn after_write(id: usize, conn: &mut Conn, flow: Flow, shared: &Shared, poller: &Poller) -> bool {
+    match flow {
+        Flow::Remove => true,
+        Flow::AwaitWritable => false,
+        Flow::KeepGoing => matches!(advance_reading(id, conn, shared, poller), Flow::Remove),
     }
 }
 
@@ -267,13 +258,10 @@ fn advance_reading(id: usize, conn: &mut Conn, shared: &Shared, poller: &Poller)
                     // now.
                     conn.request_sw = Some(Stopwatch::start());
                 }
-                conn.http11 = request.version_minor >= 1;
-                let allow_chunked = conn.http11;
                 if !request.wants_keep_alive() {
                     conn.close_after_write = true;
                 }
-                let flow = handle_request(id, conn, &request, allow_chunked, shared, poller);
-                match flow {
+                match handle_request(id, conn, &request, shared, poller) {
                     Flow::KeepGoing => continue,
                     other => return other,
                 }
@@ -286,7 +274,7 @@ fn advance_reading(id: usize, conn: &mut Conn, shared: &Shared, poller: &Poller)
                     let err = ServeError::BadRequest("connection closed mid-request".to_string());
                     server::count_error(&err);
                     conn.close_after_write = true;
-                    return respond(id, conn, server::error_response(&err), true, poller);
+                    return respond(id, conn, server::error_response(&err), poller);
                 }
                 return Flow::KeepGoing;
             }
@@ -294,7 +282,7 @@ fn advance_reading(id: usize, conn: &mut Conn, shared: &Shared, poller: &Poller)
                 // Framing is unrecoverable: answer and close.
                 server::count_error(&err);
                 conn.close_after_write = true;
-                return respond(id, conn, server::error_response(&err), true, poller);
+                return respond(id, conn, server::error_response(&err), poller);
             }
         }
     }
@@ -305,90 +293,64 @@ fn handle_request(
     id: usize,
     conn: &mut Conn,
     request: &http::Request,
-    allow_chunked: bool,
     shared: &Shared,
     poller: &Poller,
 ) -> Flow {
-    match server::route(shared, request) {
-        Ok(server::Routed::Respond(response)) => respond(id, conn, response, allow_chunked, poller),
-        Ok(server::Routed::Generate { key, model }) => {
-            if let Some(body) = shared.cache.get(&key) {
-                return respond(id, conn, Response::shared(200, body), allow_chunked, poller);
-            }
-            if shared.stop.load(Ordering::SeqCst) {
-                let err = ServeError::ShuttingDown;
-                server::count_error(&err);
-                return respond(
-                    id,
-                    conn,
-                    server::error_response(&err),
-                    allow_chunked,
-                    poller,
-                );
-            }
-            let job = Job {
-                conn_id: id,
-                key,
-                model,
-                sw: conn.request_sw.unwrap_or_else(Stopwatch::start),
-            };
-            match shared.queue.try_push(job) {
-                Ok(()) => {
-                    gauge_set("serve.queue_depth", shared.queue.len() as f64);
-                    conn.state = ConnState::Dispatched;
-                    // Ignore the socket until the completion arrives;
-                    // pipelined bytes wait their turn in the buffers.
-                    let _ = poller.delete(&conn.stream);
-                    Flow::KeepGoing
-                }
-                Err(PushError::Full(_)) => {
-                    let err = ServeError::QueueFull {
-                        depth: shared.queue.capacity(),
-                    };
-                    server::count_error(&err);
-                    respond(
-                        id,
-                        conn,
-                        server::error_response(&err),
-                        allow_chunked,
-                        poller,
-                    )
-                }
-                Err(PushError::Closed(_)) => {
-                    let err = ServeError::ShuttingDown;
-                    server::count_error(&err);
-                    respond(
-                        id,
-                        conn,
-                        server::error_response(&err),
-                        allow_chunked,
-                        poller,
-                    )
-                }
-            }
+    match answer_or_dispatch(id, conn, request, shared) {
+        Ok(Some(response)) => respond(id, conn, response, poller),
+        Ok(None) => {
+            conn.state = ConnState::Dispatched;
+            // Ignore the socket until the completion arrives; pipelined
+            // bytes wait their turn in the buffers.
+            let _ = poller.delete(&conn.stream);
+            Flow::KeepGoing
         }
         Err(err) => {
             server::count_error(&err);
-            respond(
-                id,
-                conn,
-                server::error_response(&err),
-                allow_chunked,
-                poller,
-            )
+            respond(id, conn, server::error_response(&err), poller)
         }
     }
 }
 
-/// Starts writing `response` and pushes as much as the socket takes.
-fn respond(
+/// The inline answer to `request` (cheap routes, cache hits), or `None`
+/// once its generation job is queued.
+fn answer_or_dispatch(
     id: usize,
-    conn: &mut Conn,
-    response: Response,
-    allow_chunked: bool,
-    poller: &Poller,
-) -> Flow {
-    conn.begin_response(response, allow_chunked);
+    conn: &Conn,
+    request: &http::Request,
+    shared: &Shared,
+) -> Result<Option<Response>, ServeError> {
+    let (key, model) = match server::route(shared, request)? {
+        server::Routed::Respond(response) => return Ok(Some(response)),
+        server::Routed::Generate { key, model } => (key, model),
+    };
+    if let Some(body) = shared.cache.get(&key) {
+        return Ok(Some(Response::shared(200, body)));
+    }
+    if shared.stop.load(Ordering::SeqCst) {
+        return Err(ServeError::ShuttingDown);
+    }
+    let job = Job {
+        conn_id: id,
+        key,
+        model,
+        sw: conn.request_sw.unwrap_or_else(Stopwatch::start),
+    };
+    match shared.queue.try_push(job) {
+        Ok(()) => {
+            gauge_set("serve.queue_depth", shared.queue.len() as f64);
+            Ok(None)
+        }
+        Err(PushError::Full(_)) => Err(ServeError::QueueFull {
+            depth: shared.queue.capacity(),
+        }),
+        Err(PushError::Closed(_)) => Err(ServeError::ShuttingDown),
+    }
+}
+
+/// Starts writing `response` and pushes as much as the socket takes.
+fn respond(id: usize, conn: &mut Conn, response: Response, poller: &Poller) -> Flow {
+    conn.begin_response(response);
     // The write budget starts now: a peer that stops draining mid-
     // response is cut off one deadline later (`enforce_deadlines`).
     conn.idle_sw = Stopwatch::start();
@@ -456,7 +418,7 @@ fn enforce_deadlines(conns: &mut BTreeMap<usize, Conn>, shared: &Shared, poller:
                         server::count_error(&err);
                         conn.close_after_write = true;
                         matches!(
-                            respond(id, conn, server::error_response(&err), true, poller),
+                            respond(id, conn, server::error_response(&err), poller),
                             Flow::Remove
                         )
                     } else {
@@ -509,7 +471,7 @@ fn begin_drain(conns: &mut BTreeMap<usize, Conn>, poller: &Poller) {
                     server::count_error(&err);
                     conn.close_after_write = true;
                     matches!(
-                        respond(id, conn, server::error_response(&err), true, poller),
+                        respond(id, conn, server::error_response(&err), poller),
                         Flow::Remove
                     )
                 }

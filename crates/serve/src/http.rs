@@ -3,16 +3,16 @@
 //! Just enough of RFC 9112 for the serving API, parsed **incrementally**:
 //! [`parse_request`] consumes a prefix of a connection's receive buffer
 //! and either yields a complete request (plus the byte count to drain),
-//! asks for more bytes, or fails with a typed [`ServeError`]. Responses
-//! support HTTP/1.1 keep-alive and `Transfer-Encoding: chunked` bodies;
-//! [`parse_reply`] is the matching client-side decoder used by the
-//! integration tests and the load bench. Hard limits on head and body
-//! size keep a hostile peer from ballooning memory.
+//! asks for more bytes, or fails with a typed [`ServeError`]. Every
+//! response is framed by `content-length`; [`parse_reply`] is the
+//! matching client-side decoder used by the integration tests and the
+//! load bench. Both share one head parser, and hard limits on head and
+//! body size keep a hostile peer from ballooning memory.
 
 use crate::error::ServeError;
 use std::sync::Arc;
 
-/// Maximum accepted size of the request line + headers, in bytes.
+/// Maximum accepted size of the start line + headers, in bytes.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// Maximum accepted request body size, in bytes.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
@@ -36,10 +36,7 @@ pub struct Request {
 impl Request {
     /// The first value of a header, by lowercase name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 
     /// Whether the client wants the connection kept open after this
@@ -58,13 +55,90 @@ impl Request {
     }
 }
 
-/// Byte offset just past the `\r\n\r\n` (or lenient `\n\n`) head
-/// terminator, if present.
+fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| v.as_str())
+}
+
+fn bad(message: impl Into<String>) -> ServeError {
+    ServeError::BadRequest(message.into())
+}
+
+/// Byte offset just past the first blank line (`\r\n\r\n`, or a lenient
+/// bare `\n\n`), if one has arrived.
 fn head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map(|p| p + 4)
-        .or_else(|| buf.windows(2).position(|w| w == b"\n\n").map(|p| p + 2))
+    let mut after_newline = false;
+    for (i, &b) in buf.iter().enumerate() {
+        match b {
+            b'\n' if after_newline => return Some(i + 1),
+            b'\n' => after_newline = true,
+            b'\r' => {}
+            _ => after_newline = false,
+        }
+    }
+    None
+}
+
+/// A request or reply head: the start line, the headers and the declared
+/// body length.
+struct Head<'a> {
+    start_line: &'a str,
+    headers: Vec<(String, String)>,
+    /// Head bytes, blank line included.
+    len: usize,
+    content_length: usize,
+}
+
+impl Head<'_> {
+    /// Offset just past the body: a typed error when the declared length
+    /// does not fit in memory at all.
+    fn end(&self) -> Result<usize, ServeError> {
+        self.len
+            .checked_add(self.content_length)
+            .ok_or_else(|| bad(format!("content-length {} overflows", self.content_length)))
+    }
+}
+
+/// Parses the head at the front of `buf`, `Ok(None)` until its blank
+/// line arrives. Heads over [`MAX_HEAD_BYTES`] fail without waiting for
+/// the rest.
+fn parse_head(buf: &[u8]) -> Result<Option<Head<'_>>, ServeError> {
+    let too_long = || bad(format!("message head exceeds {MAX_HEAD_BYTES} bytes"));
+    let Some(len) = head_end(buf) else {
+        return if buf.len() > MAX_HEAD_BYTES {
+            Err(too_long())
+        } else {
+            Ok(None)
+        };
+    };
+    if len > MAX_HEAD_BYTES {
+        return Err(too_long());
+    }
+    let text =
+        std::str::from_utf8(&buf[..len]).map_err(|_| bad("message head is not valid UTF-8"))?;
+    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+    let start_line = lines.next().ok_or_else(|| bad("empty message head"))?;
+    let mut headers = Vec::new();
+    for line in lines {
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| bad(format!("malformed header line '{line}'")))?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+    }
+    let content_length = match header(&headers, "content-length") {
+        Some(v) => v
+            .parse::<usize>()
+            .map_err(|_| bad(format!("unparseable content-length '{v}'")))?,
+        None => 0,
+    };
+    Ok(Some(Head {
+        start_line,
+        headers,
+        len,
+        content_length,
+    }))
 }
 
 /// Incrementally parses one request from the front of `buf`.
@@ -76,117 +150,40 @@ fn head_end(buf: &[u8]) -> Option<usize> {
 /// (`400`/`413`) — after which the connection's framing is unrecoverable
 /// and the caller must close it once the error response is written.
 pub fn parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, ServeError> {
-    let Some(head_len) = head_end(buf) else {
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(ServeError::BadRequest(format!(
-                "request head exceeds {MAX_HEAD_BYTES} bytes"
-            )));
-        }
+    let Some(head) = parse_head(buf)? else {
         return Ok(None);
     };
-    if head_len > MAX_HEAD_BYTES {
-        return Err(ServeError::BadRequest(format!(
-            "request head exceeds {MAX_HEAD_BYTES} bytes"
-        )));
-    }
-
-    let head = std::str::from_utf8(&buf[..head_len])
-        .map_err(|_| ServeError::BadRequest("request head is not valid UTF-8".to_string()))?;
-    let mut lines = head.lines().filter(|l| !l.trim().is_empty());
-    let request_line = lines
-        .next()
-        .ok_or_else(|| ServeError::BadRequest("empty request head".to_string()))?;
-    let mut parts = request_line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or_else(|| ServeError::BadRequest("missing method".to_string()))?
-        .to_string();
-    let path = parts
-        .next()
-        .ok_or_else(|| ServeError::BadRequest("missing request target".to_string()))?
-        .to_string();
-    let version = parts
-        .next()
-        .ok_or_else(|| ServeError::BadRequest("missing HTTP version".to_string()))?;
-    let version_minor = match version {
-        "HTTP/1.1" => 1,
+    let mut parts = head.start_line.split_whitespace();
+    let method = parts.next().ok_or_else(|| bad("missing method"))?;
+    let path = parts.next().ok_or_else(|| bad("missing request target"))?;
+    let version_minor = match parts.next().ok_or_else(|| bad("missing HTTP version"))? {
         "HTTP/1.0" => 0,
-        other if other.starts_with("HTTP/1.") => 1,
-        other => {
-            return Err(ServeError::BadRequest(format!(
-                "unsupported protocol version '{other}'"
-            )));
-        }
+        v if v.starts_with("HTTP/1.") => 1,
+        other => return Err(bad(format!("unsupported protocol version '{other}'"))),
     };
-
-    let mut headers = Vec::new();
-    for line in lines {
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| ServeError::BadRequest(format!("malformed header line '{line}'")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-
-    let content_length = match headers.iter().find(|(n, _)| n == "content-length") {
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| ServeError::BadRequest(format!("unparseable content-length '{v}'")))?,
-        None => 0,
-    };
-    if content_length > MAX_BODY_BYTES {
+    if head.content_length > MAX_BODY_BYTES {
         return Err(ServeError::PayloadTooLarge {
             limit: MAX_BODY_BYTES,
         });
     }
-    let total = head_len + content_length;
-    if buf.len() < total {
+    let end = head.end()?;
+    if buf.len() < end {
         return Ok(None);
     }
-
     Ok(Some((
         Request {
-            method,
-            path,
-            headers,
-            body: buf[head_len..total].to_vec(),
+            method: method.to_string(),
+            path: path.to_string(),
+            body: buf[head.len..end].to_vec(),
+            headers: head.headers,
             version_minor,
         },
-        total,
+        end,
     )))
 }
 
-/// A response body: owned bytes, or a shared cache entry served without
-/// copying (the head is assembled separately; body bytes are written to
-/// the socket straight from the `Arc`).
-#[derive(Debug, Clone)]
-pub enum Body {
-    /// Response-local bytes.
-    Owned(Vec<u8>),
-    /// A shared (cached) body.
-    Shared(Arc<Vec<u8>>),
-}
-
-impl Body {
-    /// The body bytes.
-    pub fn as_slice(&self) -> &[u8] {
-        match self {
-            Body::Owned(v) => v,
-            Body::Shared(a) => a,
-        }
-    }
-
-    /// Body length in bytes.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// Whether the body is empty.
-    pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
-    }
-}
-
-/// An HTTP response about to be written.
+/// An HTTP response about to be written. The body is shared, so a cached
+/// graph is written to the socket straight from the cache's allocation.
 #[derive(Debug)]
 pub struct Response {
     /// Status code.
@@ -194,7 +191,7 @@ pub struct Response {
     /// `Content-Type` value.
     pub content_type: &'static str,
     /// Response body.
-    pub body: Body,
+    pub body: Arc<Vec<u8>>,
     /// Optional `Retry-After` header value in seconds (`429`/`503`).
     pub retry_after: Option<u64>,
 }
@@ -205,28 +202,18 @@ impl Response {
         Response {
             status,
             content_type: "application/json",
-            body: Body::Owned(body.into_bytes()),
+            body: Arc::new(body.into_bytes()),
             retry_after: None,
         }
     }
 
-    /// A plain-text response (the edge-list payload of `/v1/generate`).
-    pub fn text(status: u16, body: Vec<u8>) -> Response {
-        Response {
-            status,
-            content_type: "text/plain; charset=utf-8",
-            body: Body::Owned(body),
-            retry_after: None,
-        }
-    }
-
-    /// A plain-text response sharing an existing (cached) body without
-    /// copying it.
+    /// A plain-text response (the edge-list payload of `/v1/generate`)
+    /// sharing an existing (cached) body without copying it.
     pub fn shared(status: u16, body: Arc<Vec<u8>>) -> Response {
         Response {
             status,
             content_type: "text/plain; charset=utf-8",
-            body: Body::Shared(body),
+            body,
             retry_after: None,
         }
     }
@@ -249,8 +236,9 @@ fn reason(status: u16) -> &'static str {
 }
 
 /// Renders the response head (status line + headers + blank line).
-/// `chunked` selects `transfer-encoding: chunked` framing instead of
-/// `content-length`; `keep_alive` selects the `connection` header.
+/// `keep_alive` selects the `connection` header. The server frames every
+/// body by `content-length` and passes `chunked = false`; `true` announces
+/// `transfer-encoding: chunked` for a caller that frames the body itself.
 pub fn encode_head(response: &Response, keep_alive: bool, chunked: bool) -> Vec<u8> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\n",
@@ -282,17 +270,14 @@ pub struct Reply {
     pub status: u16,
     /// Header `(name, value)` pairs, names lowercased.
     pub headers: Vec<(String, String)>,
-    /// The de-framed body (chunked bodies are reassembled).
+    /// The `content-length`-framed body.
     pub body: Vec<u8>,
 }
 
 impl Reply {
     /// The first value of a header, by lowercase name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 }
 
@@ -300,87 +285,32 @@ impl Reply {
 /// client-side mirror of [`parse_request`]. Returns the reply plus the
 /// byte count to drain (so keep-alive clients can decode back-to-back
 /// responses from one buffer), `Ok(None)` when more bytes are needed.
+/// A `transfer-encoding` reply is an error: the server never sends one.
 pub fn parse_reply(buf: &[u8]) -> Result<Option<(Reply, usize)>, ServeError> {
-    let Some(head_len) = head_end(buf) else {
+    let Some(head) = parse_head(buf)? else {
         return Ok(None);
     };
-    let head = std::str::from_utf8(&buf[..head_len])
-        .map_err(|_| ServeError::BadRequest("reply head is not valid UTF-8".to_string()))?;
-    let mut lines = head.lines().filter(|l| !l.trim().is_empty());
-    let status_line = lines
-        .next()
-        .ok_or_else(|| ServeError::BadRequest("empty reply head".to_string()))?;
-    let status: u16 = status_line
+    let status: u16 = head
+        .start_line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ServeError::BadRequest(format!("bad status line '{status_line}'")))?;
-    let mut headers = Vec::new();
-    for line in lines {
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| ServeError::BadRequest(format!("malformed header line '{line}'")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        .ok_or_else(|| bad(format!("bad status line '{}'", head.start_line)))?;
+    if header(&head.headers, "transfer-encoding").is_some() {
+        return Err(bad("transfer-encoding replies are not supported"));
     }
-
-    let chunked = headers
-        .iter()
-        .any(|(n, v)| n == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));
-    if !chunked {
-        let content_length = match headers.iter().find(|(n, _)| n == "content-length") {
-            Some((_, v)) => v
-                .parse::<usize>()
-                .map_err(|_| ServeError::BadRequest(format!("unparseable content-length '{v}'")))?,
-            None => 0,
-        };
-        let total = head_len + content_length;
-        if buf.len() < total {
-            return Ok(None);
-        }
-        return Ok(Some((
-            Reply {
-                status,
-                headers,
-                body: buf[head_len..total].to_vec(),
-            },
-            total,
-        )));
+    let end = head.end()?;
+    if buf.len() < end {
+        return Ok(None);
     }
-
-    // Chunked: `<hex size>\r\n<data>\r\n`... terminated by a zero chunk.
-    let mut body = Vec::new();
-    let mut pos = head_len;
-    loop {
-        let rest = &buf[pos..];
-        let Some(line_end) = rest.windows(2).position(|w| w == b"\r\n") else {
-            return Ok(None);
-        };
-        let size_text = std::str::from_utf8(&rest[..line_end])
-            .map_err(|_| ServeError::BadRequest("non-utf8 chunk size".to_string()))?
-            .trim();
-        let size = usize::from_str_radix(size_text, 16)
-            .map_err(|_| ServeError::BadRequest(format!("bad chunk size '{size_text}'")))?;
-        let data_start = pos + line_end + 2;
-        if size == 0 {
-            // Trailing CRLF after the zero chunk.
-            if buf.len() < data_start + 2 {
-                return Ok(None);
-            }
-            return Ok(Some((
-                Reply {
-                    status,
-                    headers,
-                    body,
-                },
-                data_start + 2,
-            )));
-        }
-        if buf.len() < data_start + size + 2 {
-            return Ok(None);
-        }
-        body.extend_from_slice(&buf[data_start..data_start + size]);
-        pos = data_start + size + 2;
-    }
+    Ok(Some((
+        Reply {
+            status,
+            body: buf[head.len..end].to_vec(),
+            headers: head.headers,
+        },
+        end,
+    )))
 }
 
 #[cfg(test)]
@@ -512,11 +442,14 @@ mod tests {
         assert!(head.contains("retry-after: 1\r\n"));
         assert!(head.ends_with("\r\n\r\n"));
 
-        let resp = Response::text(200, b"hello".to_vec());
-        let head = String::from_utf8(encode_head(&resp, true, true)).unwrap();
-        assert!(head.contains("transfer-encoding: chunked\r\n"));
-        assert!(!head.contains("content-length"), "{head}");
+        let resp = Response::shared(200, Arc::new(b"hello".to_vec()));
+        let head = String::from_utf8(encode_head(&resp, true, false)).unwrap();
+        assert!(head.contains("content-type: text/plain"), "{head}");
+        assert!(head.contains("content-length: 5\r\n"), "{head}");
         assert!(head.contains("connection: keep-alive\r\n"));
+        let head = String::from_utf8(encode_head(&resp, true, true)).unwrap();
+        assert!(head.contains("transfer-encoding: chunked\r\n"), "{head}");
+        assert!(!head.contains("content-length"), "{head}");
     }
 
     #[test]
@@ -531,12 +464,16 @@ mod tests {
     }
 
     #[test]
-    fn reply_parser_reassembles_chunked_bodies() {
-        let wire = b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n4\r\nwiki\r\n5\r\npedia\r\n0\r\n\r\nrest";
-        let (reply, used) = parse_reply(wire).unwrap().unwrap();
-        assert_eq!(reply.body, b"wikipedia");
-        assert_eq!(&wire[used..], b"rest");
-        // Truncated mid-chunk: incomplete.
-        assert!(matches!(parse_reply(&wire[..wire.len() - 10]), Ok(None)));
+    fn reply_parser_rejects_transfer_encoding() {
+        let wire = b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n0\r\n\r\n";
+        assert!(matches!(parse_reply(wire), Err(ServeError::BadRequest(_))));
+    }
+
+    #[test]
+    fn head_ends_at_the_first_blank_line() {
+        let text = "GET /a HTTP/1.1\n\nGET /b HTTP/1.1\r\n\r\n";
+        let (r, used) = parse(text).unwrap().unwrap();
+        assert_eq!(r.path, "/a");
+        assert_eq!(used, "GET /a HTTP/1.1\n\n".len());
     }
 }

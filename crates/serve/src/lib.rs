@@ -20,13 +20,16 @@
 //! Architecture: a single `poll(2)`-based event-loop thread owns every
 //! socket — non-blocking accept, incremental parsing, HTTP/1.1
 //! keep-alive with pipelined request draining, idle/slow-header
-//! deadlines, and chunked streaming writes. Because generation is a pure
-//! function of `(model, snapshot-rev, params, seed)`, a seed-keyed LRU
+//! deadlines, and `content-length`-framed writes straight from each
+//! shared body. Because generation is a pure function of
+//! `(model, snapshot-rev, params, seed)`, a seed-keyed LRU
 //! [`cache`](crate) answers repeat requests inline with zero body
 //! copies; only cache misses reach the bounded queue
-//! ([`queue::Bounded`]) and its fixed worker pool. Robustness semantics
-//! are explicit and typed ([`ServeError`]): malformed requests are
-//! `400`s, oversized bodies `413`s, a full queue rejects instantly with
+//! ([`queue::Bounded`]), from which each worker of a fixed pool pops one
+//! job at a time. Robustness semantics are explicit and typed
+//! ([`ServeError`]): malformed requests and shapes over the request
+//! bounds ([`MAX_NODES`], [`MAX_EDGES`]) are `400`s, oversized bodies
+//! `413`s, a full queue rejects instantly with
 //! `429` + `Retry-After`, requests that outlive the per-request deadline
 //! are `408`s, the connection limit turns sockets away with `503`, and
 //! shutdown stops accepting but answers everything already admitted.
@@ -60,6 +63,6 @@ mod server;
 
 pub use cache::{CacheKey, GenCache};
 pub use error::ServeError;
-pub use protocol::{GenerateRequest, DEFAULT_SEED};
+pub use protocol::{GenerateRequest, DEFAULT_SEED, MAX_EDGES, MAX_NODES};
 pub use registry::ModelRegistry;
 pub use server::{error_response, ServeConfig, Server};

@@ -1,8 +1,10 @@
 //! The `/v1/generate` request body.
 //!
-//! A strict parser: unknown fields and wrong types are `400`s with the
-//! offending field named, so a misconfigured client learns immediately
-//! instead of silently generating with defaults.
+//! A strict parser: unknown fields, wrong types and shapes over
+//! [`MAX_NODES`] / [`MAX_EDGES`] are `400`s with the offending field
+//! named, so a misconfigured client learns immediately instead of
+//! silently generating with defaults — and no request can ask a worker
+//! for an allocation the process cannot survive.
 
 use crate::error::ServeError;
 use serde::Value;
@@ -26,11 +28,32 @@ pub struct GenerateRequest {
 /// `--seed` default so bare requests match bare `cpgan generate` runs.
 pub const DEFAULT_SEED: u64 = 7;
 
+/// The most nodes a request may ask for (DESIGN.md §11 sizes the
+/// largest admitted generation). A model's trained shape, the default,
+/// is the operator's choice and is not checked.
+pub const MAX_NODES: usize = 1 << 20;
+
+/// The most edges a request may ask for.
+pub const MAX_EDGES: usize = 1 << 23;
+
 fn bad(field: &str, expected: &str, got: &Value) -> ServeError {
     ServeError::BadRequest(format!(
         "field '{field}' must be {expected}, got {}",
         got.kind()
     ))
+}
+
+/// A non-negative integer field no larger than `limit`.
+fn bounded(field: &str, val: &Value, limit: usize) -> Result<usize, ServeError> {
+    let v = val
+        .as_u64()
+        .ok_or_else(|| bad(field, "a non-negative integer", val))?;
+    usize::try_from(v)
+        .ok()
+        .filter(|&v| v <= limit)
+        .ok_or_else(|| {
+            ServeError::BadRequest(format!("field '{field}' must be at most {limit}, got {v}"))
+        })
 }
 
 impl GenerateRequest {
@@ -56,22 +79,8 @@ impl GenerateRequest {
                     Value::Str(s) => req.model = Some(s.clone()),
                     other => return Err(bad("model", "a string", other)),
                 },
-                "nodes" => {
-                    let v = val
-                        .as_u64()
-                        .ok_or_else(|| bad("nodes", "a non-negative integer", val))?;
-                    req.nodes = Some(usize::try_from(v).map_err(|_| {
-                        ServeError::BadRequest(format!("field 'nodes' too large: {v}"))
-                    })?);
-                }
-                "edges" => {
-                    let v = val
-                        .as_u64()
-                        .ok_or_else(|| bad("edges", "a non-negative integer", val))?;
-                    req.edges = Some(usize::try_from(v).map_err(|_| {
-                        ServeError::BadRequest(format!("field 'edges' too large: {v}"))
-                    })?);
-                }
+                "nodes" => req.nodes = Some(bounded("nodes", val, MAX_NODES)?),
+                "edges" => req.edges = Some(bounded("edges", val, MAX_EDGES)?),
                 "seed" => {
                     req.seed = Some(
                         val.as_u64()
@@ -117,6 +126,13 @@ mod tests {
     }
 
     #[test]
+    fn shapes_up_to_the_bounds_are_accepted() {
+        let body = format!(r#"{{"nodes":{MAX_NODES},"edges":{MAX_EDGES}}}"#);
+        let r = GenerateRequest::from_body(body.as_bytes()).unwrap();
+        assert_eq!((r.nodes, r.edges), (Some(MAX_NODES), Some(MAX_EDGES)));
+    }
+
+    #[test]
     fn rejects_malformed_bodies_with_field_names() {
         let cases: Vec<(&[u8], &str)> = vec![
             (b"not json", "JSON"),
@@ -125,6 +141,11 @@ mod tests {
             (br#"{"nodes":-4}"#, "'nodes'"),
             (br#"{"seed":"abc"}"#, "'seed'"),
             (br#"{"extra":1}"#, "unknown field 'extra'"),
+            (br#"{"nodes":1048577}"#, "'nodes' must be at most 1048576"),
+            (
+                br#"{"nodes":100000,"edges":18446744073709551615}"#,
+                "'edges' must be at most 8388608",
+            ),
         ];
         for (body, needle) in cases {
             let err = GenerateRequest::from_body(body).unwrap_err();

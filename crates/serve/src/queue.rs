@@ -8,7 +8,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Duration;
 
 /// Why [`Bounded::try_push`] refused an item. The item is handed back so
 /// the caller can respond on its connection.
@@ -83,31 +82,24 @@ impl<T> Bounded<T> {
         Ok(())
     }
 
-    /// Dequeues up to `max` items as one micro-batch, waiting up to
-    /// `timeout` for the first item.
-    ///
-    /// Returns the batch plus `done = true` once the queue is closed
-    /// **and** drained — the consumer's signal to exit. A non-empty batch
-    /// can accompany `done = false` even after close: close only stops new
-    /// work, it never drops queued work.
-    pub fn pop_batch(&self, max: usize, timeout: Duration) -> (Vec<T>, bool) {
+    /// Dequeues the oldest item, waiting while the queue is empty and
+    /// open. Returns `None` once the queue is closed **and** drained —
+    /// the consumer's signal to exit: close only stops new work, it never
+    /// drops queued work.
+    pub fn pop(&self) -> Option<T> {
         let mut state = self.lock();
-        if state.items.is_empty() && !state.closed {
-            let (guard, _timeout_result) = self
+        loop {
+            if let Some(item) = state.items.pop_front() {
+                return Some(item);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self
                 .available
-                .wait_timeout(state, timeout)
+                .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
-            state = guard;
         }
-        let take = state.items.len().min(max.max(1));
-        let batch: Vec<T> = state.items.drain(..take).collect();
-        let done = state.closed && state.items.is_empty();
-        if !state.items.is_empty() {
-            // Leftovers for other consumers.
-            drop(state);
-            self.available.notify_one();
-        }
-        (batch, done)
     }
 
     /// Closes the queue: future pushes fail with [`PushError::Closed`],
@@ -121,8 +113,7 @@ impl<T> Bounded<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const TICK: Duration = Duration::from_millis(10);
+    use std::sync::Arc;
 
     #[test]
     fn push_pop_fifo_order() {
@@ -130,12 +121,10 @@ mod tests {
         for i in 0..5 {
             q.try_push(i).unwrap();
         }
-        let (batch, done) = q.pop_batch(3, TICK);
-        assert_eq!(batch, vec![0, 1, 2]);
-        assert!(!done);
-        let (batch, done) = q.pop_batch(10, TICK);
-        assert_eq!(batch, vec![3, 4]);
-        assert!(!done);
+        for i in 0..5 {
+            assert_eq!(q.pop(), Some(i));
+        }
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -153,37 +142,38 @@ mod tests {
     #[test]
     fn closed_queue_rejects_pushes_but_drains_items() {
         let q = Bounded::new(4);
-        q.try_push(7).unwrap();
-        q.close();
-        assert!(matches!(q.try_push(8), Err(PushError::Closed(8))));
-        let (batch, done) = q.pop_batch(4, TICK);
-        assert_eq!(batch, vec![7]);
-        assert!(done, "closed + drained must report done");
-        let (batch, done) = q.pop_batch(4, TICK);
-        assert!(batch.is_empty());
-        assert!(done);
-    }
-
-    #[test]
-    fn close_with_backlog_is_not_done_until_drained() {
-        let q = Bounded::new(4);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         q.close();
-        let (batch, done) = q.pop_batch(1, TICK);
-        assert_eq!(batch, vec![1]);
-        assert!(!done, "still one item queued");
-        let (batch, done) = q.pop_batch(1, TICK);
-        assert_eq!(batch, vec![2]);
-        assert!(done);
+        assert!(matches!(q.try_push(8), Err(PushError::Closed(8))));
+        assert_eq!(q.pop(), Some(1), "close must not drop queued work");
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None, "closed + drained must end the consumer");
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn empty_pop_times_out_quickly() {
-        let q: Bounded<u32> = Bounded::new(1);
-        let (batch, done) = q.pop_batch(1, Duration::from_millis(1));
-        assert!(batch.is_empty());
-        assert!(!done);
+    fn pop_waits_for_a_push_and_wakes_at_close() {
+        let q = Arc::new(Bounded::new(4));
+        // The consumer signals just before it pops an empty queue, so
+        // the push below almost always lands while it waits; a pop that
+        // gave up on an empty open queue would return `None` here.
+        let consumer = |q: &Arc<Bounded<u32>>| {
+            let (ready, started) = std::sync::mpsc::channel();
+            let q = Arc::clone(q);
+            let handle = std::thread::spawn(move || {
+                ready.send(()).unwrap();
+                q.pop()
+            });
+            started.recv().unwrap();
+            handle
+        };
+        let waiting = consumer(&q);
+        q.try_push(7).unwrap();
+        assert_eq!(waiting.join().unwrap(), Some(7));
+        let waiting = consumer(&q);
+        q.close();
+        assert_eq!(waiting.join().unwrap(), None, "close wakes a waiting pop");
     }
 
     #[test]

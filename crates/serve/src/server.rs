@@ -51,8 +51,6 @@ pub struct ServeConfig {
     /// byte of the request; requests that cannot finish in time are
     /// answered `408`.
     pub deadline_ms: u64,
-    /// Maximum jobs a worker drains from the queue per wakeup.
-    pub batch_size: usize,
     /// Threads each worker may use *inside* one generation; `None` splits
     /// the `cpgan-parallel` thread count evenly across workers so
     /// concurrent requests do not oversubscribe cores. Results are
@@ -76,7 +74,6 @@ impl Default for ServeConfig {
             workers: 0,
             queue_depth: 64,
             deadline_ms: 5_000,
-            batch_size: 8,
             gen_threads: None,
             idle_ms: 5_000,
             cache_bytes: 16 * 1024 * 1024,
@@ -118,7 +115,6 @@ pub(crate) struct Shared {
     pub idle: Duration,
     pub gen_threads: usize,
     pub workers: usize,
-    pub batch_size: usize,
     pub max_conns: usize,
     pub stop: AtomicBool,
 }
@@ -178,7 +174,6 @@ impl Server {
             idle: Duration::from_millis(cfg.idle_ms.max(1)),
             gen_threads,
             workers,
-            batch_size: cfg.batch_size.max(1),
             max_conns: cfg.max_conns.max(1),
             stop: AtomicBool::new(false),
         });
@@ -364,26 +359,16 @@ fn prepare_generate(shared: &Shared, request: &Request) -> Result<Routed, ServeE
 
 // -------------------------------------------------------------- workers
 
+/// Runs jobs one at a time until the queue is closed and drained.
 fn worker_loop(shared: &Shared) {
-    loop {
-        let (batch, done) = shared
-            .queue
-            .pop_batch(shared.batch_size, Duration::from_millis(25));
-        if !batch.is_empty() {
-            hist_record("serve.batch_size", batch.len() as f64);
-            gauge_set("serve.queue_depth", shared.queue.len() as f64);
-        }
-        for job in batch {
-            hist_record("serve.queue_wait_ns", job.sw.elapsed_ns() as f64);
-            let response = run_job(shared, &job);
-            shared.complete(Completion {
-                conn_id: job.conn_id,
-                response,
-            });
-        }
-        if done {
-            break;
-        }
+    while let Some(job) = shared.queue.pop() {
+        gauge_set("serve.queue_depth", shared.queue.len() as f64);
+        hist_record("serve.queue_wait_ns", job.sw.elapsed_ns() as f64);
+        let response = run_job(shared, &job);
+        shared.complete(Completion {
+            conn_id: job.conn_id,
+            response,
+        });
     }
 }
 

@@ -76,7 +76,7 @@ impl Client {
         self.send_raw(generate_request(body, true).as_bytes());
     }
 
-    /// Reads exactly one framed reply (content-length or chunked).
+    /// Reads exactly one `content-length`-framed reply.
     pub fn read_reply(&mut self) -> Reply {
         let mut chunk = [0u8; 16 * 1024];
         loop {

@@ -47,7 +47,6 @@ fn design_section_documents_the_cache_and_streaming() {
         "Arc<Vec<u8>>",
         "serve.cache.hit",
         "serve.cache.miss",
-        "transfer-encoding: chunked",
         "content-length",
     ] {
         assert!(s.contains(item), "DESIGN.md §11 must mention `{item}`");

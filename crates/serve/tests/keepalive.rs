@@ -1,7 +1,7 @@
 //! Connection-layer tests: keep-alive reuse, pipelining, slow-header
-//! (slowloris) deadlines, idle closes, oversized bodies, chunked
-//! streaming, and cache hit == miss byte-equality across connection
-//! modes.
+//! (slowloris) deadlines, idle closes, oversized bodies, large
+//! `content-length`-framed bodies, and cache hit == miss byte-equality
+//! across connection modes.
 
 #![allow(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 
@@ -265,8 +265,8 @@ fn cache_hit_equals_miss_byte_for_byte_across_connection_modes() {
 }
 
 #[test]
-fn large_bodies_stream_chunked_and_match_the_cli() {
-    let path = temp_model_path("ka_chunked", &CpGan::new(CpGanConfig::tiny()));
+fn large_bodies_are_content_length_framed_and_match_the_cli() {
+    let path = temp_model_path("ka_large", &CpGan::new(CpGanConfig::tiny()));
     let server = Server::start(
         ServeConfig {
             addr: "127.0.0.1:0".into(),
@@ -278,28 +278,29 @@ fn large_bodies_stream_chunked_and_match_the_cli() {
     )
     .unwrap();
 
-    // ~10k edges serialize past the 64 KiB chunking threshold.
+    // ~10k edges serialize past 64 KiB, several socket buffers' worth.
     let (n, m, seed) = (3000usize, 10_000usize, 2u64);
     let expected = cli_bytes(&path, n, m, seed);
-    assert!(expected.len() >= 64 * 1024, "fixture must exceed threshold");
+    assert!(expected.len() >= 64 * 1024, "fixture must be a large body");
+    let content_length = expected.len().to_string();
 
     let mut client = Client::connect(server.addr());
     for round in 0..2 {
         // Round 0 exercises the worker (miss), round 1 the cached body:
-        // both stream chunked and de-frame to identical bytes.
+        // both are framed by content-length and carry identical bytes.
         client.post_generate(&format!(r#"{{"nodes":{n},"edges":{m},"seed":{seed}}}"#));
         let reply = client.read_reply();
         assert_eq!(reply.status, 200, "round {round}");
         assert_eq!(
-            reply.header("transfer-encoding"),
-            Some("chunked"),
-            "large bodies must stream chunked (round {round})"
+            reply.header("content-length"),
+            Some(content_length.as_str()),
+            "round {round}"
         );
+        assert!(reply.header("transfer-encoding").is_none(), "round {round}");
         assert_eq!(reply.body, expected, "round {round}");
     }
 
-    // An HTTP/1.0 client must get the same bytes with content-length
-    // framing instead (chunked is 1.1-only).
+    // An HTTP/1.0 client gets the same framing and the same bytes.
     let mut old = Client::connect(server.addr());
     let body = format!(r#"{{"nodes":{n},"edges":{m},"seed":{seed}}}"#);
     old.send_raw(
@@ -311,6 +312,10 @@ fn large_bodies_stream_chunked_and_match_the_cli() {
     );
     let reply = old.read_reply();
     assert_eq!(reply.status, 200);
+    assert_eq!(
+        reply.header("content-length"),
+        Some(content_length.as_str())
+    );
     assert!(reply.header("transfer-encoding").is_none());
     assert_eq!(
         reply.body, expected,

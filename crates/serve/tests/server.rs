@@ -1,7 +1,7 @@
 //! End-to-end serving tests over real TCP sockets: the determinism
 //! contract (served bytes == CLI bytes, cached or not), the robustness
-//! taxonomy (400/404/405/408/429), and graceful drain without
-//! sleep-polling.
+//! taxonomy (400/404/405/408/429), requests that must not abort the
+//! process, and graceful drain without sleep-polling.
 
 // Integration-test helpers sit outside `#[test]` fns, so the
 // `allow-panic-in-tests` carve-out does not reach them.
@@ -157,6 +157,43 @@ fn malformed_and_misrouted_requests_map_to_the_error_taxonomy() {
 }
 
 #[test]
+fn requests_that_once_aborted_the_server_get_400_and_it_stays_up() {
+    let path = temp_model_path("abort_requests", &CpGan::new(CpGanConfig::tiny()));
+    let server = Server::start(
+        ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        registry_for(&path),
+    )
+    .unwrap();
+    let addr = server.addr();
+
+    // An edge count whose assembler reservation would be a 154.6 GB
+    // allocation, and 64 KiB of `[` that would overflow the event
+    // thread's stack in the JSON parser: both are typed 400s now.
+    let bodies = [
+        (
+            r#"{"nodes":100000,"edges":18446744073709551615}"#.to_string(),
+            "'edges' must be at most",
+        ),
+        ("[".repeat(64 * 1024), "recursion limit exceeded"),
+    ];
+    for (body, needle) in &bodies {
+        let reply = post_generate(addr, body);
+        assert_eq!(reply.status, 400, "{needle}");
+        let text = String::from_utf8(reply.body).unwrap();
+        assert!(text.contains("\"code\":\"bad_request\""), "{text}");
+        assert!(text.contains(needle), "{text}");
+        assert_eq!(get(addr, "/healthz").status, 200, "after {needle}");
+    }
+
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn full_queue_rejects_with_429_and_retry_after() {
     let path = temp_model_path("backpressure", &CpGan::new(CpGanConfig::tiny()));
     let server = Server::start(
@@ -165,7 +202,6 @@ fn full_queue_rejects_with_429_and_retry_after() {
             workers: 1,
             queue_depth: 2,
             deadline_ms: 60_000,
-            batch_size: 1,
             gen_threads: Some(1),
             cache_bytes: 0, // force every request through the queue
             ..ServeConfig::default()
@@ -250,7 +286,6 @@ fn queue_wait_past_deadline_answers_408_without_generating() {
             workers: 1,
             queue_depth: 8,
             deadline_ms: gen_ms / 4,
-            batch_size: 1,
             gen_threads: Some(1),
             cache_bytes: 0,
             ..ServeConfig::default()
@@ -300,7 +335,6 @@ fn graceful_drain_answers_everything_already_admitted() {
             workers: 1,
             queue_depth: 8,
             deadline_ms: 60_000,
-            batch_size: 1,
             gen_threads: Some(1),
             cache_bytes: 0,
             ..ServeConfig::default()

@@ -172,9 +172,16 @@ pub fn to_writer_pretty<W: Write, T: Serialize>(mut writer: W, value: &T) -> Res
 
 // ------------------------------------------------------------------ parsing
 
+/// How deeply arrays and objects may nest: the real crate's default
+/// recursion limit. The parser recurses once per level, so without a
+/// limit a long run of `[` would overflow the parsing thread's stack.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -182,6 +189,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -219,11 +227,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_literal("true", Value::Bool(true)),
             Some(b'f') => self.parse_literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             _ => Err(self.error("unexpected character")),
         }
+    }
+
+    /// Parses one array or object one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(self.error("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_literal(&mut self, lit: &str, value: Value) -> Result<Value, Error> {
@@ -454,6 +473,26 @@ mod tests {
         let text = to_string_pretty(&data).unwrap();
         let back: Vec<(u32, String, f64)> = from_str(&text).unwrap();
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn nesting_is_limited_to_the_recursion_limit() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_value(&nest(RECURSION_LIMIT)).is_ok());
+        let err = parse_value(&nest(RECURSION_LIMIT + 1)).unwrap_err();
+        assert!(
+            err.to_string().contains("recursion limit exceeded"),
+            "{err}"
+        );
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(RECURSION_LIMIT + 1),
+            "}".repeat(RECURSION_LIMIT + 1)
+        );
+        assert!(parse_value(&objects).is_err());
+        // Far past the limit, an unclosed run fails instead of
+        // overflowing the stack.
+        assert!(parse_value(&"[".repeat(100_000)).is_err());
     }
 
     #[test]
