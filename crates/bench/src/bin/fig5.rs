@@ -1,12 +1,12 @@
 //! Regenerates paper Figure 5 (parameter sensitivity).
 //!
-//! Usage: `cargo run --release -p bench --bin fig5 [--fast] [--scale S]`
+//! Usage: `cargo run --release -p bench --bin fig5 -- [--fast] [--scale S]
+//!     [--seeds K] [--deep-epochs E] [--cpgan-epochs E]`
 
-use cpgan_eval::{pipelines::sensitivity, EvalConfig};
+use cpgan_eval::pipelines::sensitivity;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = EvalConfig::from_args(&args).unwrap_or_else(|e| bench::fail(&e));
+    let (_, cfg) = bench::table_args("fig5", &[], 0);
     for dataset in ["Citeseer", "PPI"] {
         eprintln!("running Figure 5 sweeps on {dataset}...");
         let table = sensitivity::run(&cfg, dataset);

@@ -50,7 +50,7 @@ struct Report {
 }
 
 fn main() {
-    let mut bench = Bench::parallel("matmul");
+    let mut bench = Bench::parallel("matmul", &["assert-min-ratio"]);
     let threads = bench.threads();
     eprintln!("dense matmul: naive vs blocked, serial + {threads} thread(s)...");
 
@@ -96,7 +96,7 @@ fn main() {
             );
             if kernel == "matmul" && s == GATE_SIZE {
                 bench.gate(
-                    "--assert-min-ratio",
+                    "assert-min-ratio",
                     &format!("matmul blocked/naive ratio at {GATE_SIZE}^3"),
                     ratio,
                 );

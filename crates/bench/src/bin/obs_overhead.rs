@@ -52,7 +52,7 @@ struct Report {
 }
 
 fn main() {
-    let mut bench = Bench::fixed("obs_overhead", 1);
+    let mut bench = Bench::fixed("obs_overhead", 1, &["assert-max-overhead-pct"], &[]);
 
     // The whole point is the disabled path; force it regardless of the
     // ambient environment so the numbers are what production code pays.
@@ -107,7 +107,7 @@ fn main() {
          2 guards per call = {overhead_pct:.4}% of kernel wall-clock"
     );
     bench.gate(
-        "--assert-max-overhead-pct",
+        "assert-max-overhead-pct",
         "disabled-mode overhead %",
         overhead_pct,
     );

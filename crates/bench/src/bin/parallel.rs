@@ -48,7 +48,7 @@ struct Report {
 }
 
 fn main() {
-    let bench = Bench::parallel("parallel");
+    let bench = Bench::parallel("parallel", &[]);
     let threads = bench.threads();
     eprintln!("benchmarking kernels at 1 vs {threads} thread(s)...");
 

@@ -102,9 +102,13 @@ fn run_leg(n: usize) -> Leg {
 }
 
 fn main() {
-    let mut bench = Bench::parallel("scale");
+    let mut bench = Bench::parallel("scale", &["max-nodes", "assert-min-nodes-per-sec"]);
     let threads = bench.threads();
-    let max_nodes = bench.flag("--max-nodes").unwrap_or(usize::MAX);
+    let max_nodes = bench
+        .args()
+        .value("max-nodes")
+        .unwrap_or_else(|e| fail(&e))
+        .unwrap_or(usize::MAX);
     eprintln!(
         "sharded-pipeline scale bench at {threads} thread(s), \
          {} MiB wave budget...",
@@ -146,7 +150,7 @@ fn main() {
         .iter()
         .map(|l| l.nodes_per_sec)
         .fold(f64::INFINITY, f64::min);
-    bench.gate("--assert-min-nodes-per-sec", "slowest leg nodes/s", slowest);
+    bench.gate("assert-min-nodes-per-sec", "slowest leg nodes/s", slowest);
     bench.finish(&Report {
         memory_budget_bytes: MEMORY_BUDGET_BYTES,
         legs,

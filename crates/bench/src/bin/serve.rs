@@ -367,8 +367,17 @@ struct Report {
 }
 
 fn main() {
-    let mut bench = Bench::fixed("serve", WORKERS);
-    let fast = bench.switch("--fast");
+    let mut bench = Bench::fixed(
+        "serve",
+        WORKERS,
+        &[
+            "assert-min-rps",
+            "assert-max-p99-ms",
+            "assert-min-cached-over-cold",
+        ],
+        &["fast"],
+    );
+    let fast = bench.args().switch("fast");
     let window = if fast {
         Duration::from_millis(400)
     } else {
@@ -423,14 +432,14 @@ fn main() {
         "ratios: cached/cold {cached_over_cold:.1}x, keepalive/close {keepalive_over_close:.1}x, \
          vs PR-5 baseline {keepalive_over_pr5:.1}x"
     );
-    bench.gate("--assert-min-rps", "keepalive_c128_cached rps", cached_rps);
+    bench.gate("assert-min-rps", "keepalive_c128_cached rps", cached_rps);
     bench.gate(
-        "--assert-max-p99-ms",
+        "assert-max-p99-ms",
         "keepalive_c128_cached p99 ms",
         cached_p99_ms,
     );
     bench.gate(
-        "--assert-min-cached-over-cold",
+        "assert-min-cached-over-cold",
         "cached/cold rps ratio",
         cached_over_cold,
     );

@@ -1,13 +1,13 @@
 //! Regenerates paper Table VII (time per graph generation).
 //!
-//! Usage: `cargo run --release -p bench --bin table7 [--fast] [--max-size N]`
+//! Usage: `cargo run --release -p bench --bin table7 -- [--fast] [--scale S]
+//!     [--seeds K] [--deep-epochs E] [--cpgan-epochs E] [--max-size N]`
 
-use cpgan_eval::{pipelines::efficiency, sweep_sizes_from_args, EvalConfig};
+use cpgan_eval::pipelines::efficiency;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = EvalConfig::from_args(&args).unwrap_or_else(|e| bench::fail(&e));
-    let sizes = sweep_sizes_from_args(&args).unwrap_or_else(|e| bench::fail(&e));
+    let (args, cfg) = bench::table_args("table7", &["max-size"], 0);
+    let sizes = bench::sweep_sizes(&args).unwrap_or_else(|e| bench::fail(&format!("table7: {e}")));
     eprintln!("running Table VII over sizes {sizes:?}...");
     let tables = efficiency::run(&cfg, &sizes);
     println!("{}", tables.generation.render());

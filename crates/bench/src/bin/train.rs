@@ -166,7 +166,7 @@ struct Report {
 }
 
 fn main() {
-    let mut bench = Bench::parallel("train");
+    let mut bench = Bench::parallel("train", &["assert-min-ratio"]);
     let threads = bench.threads();
     eprintln!(
         "subgraph training: unfused/unbatched vs fused/batched, \
@@ -210,7 +210,7 @@ fn main() {
          fused({threads}T) {fused_par_eps:7.2} epochs/s  ratio {ratio:.2}x"
     );
     bench.gate(
-        "--assert-min-ratio",
+        "assert-min-ratio",
         "fused/unfused epochs-per-second ratio",
         ratio,
     );

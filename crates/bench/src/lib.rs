@@ -1,17 +1,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! The harness behind the `results/BENCH_*.json` gate binaries (`matmul`,
-//! `parallel`, `train`, `scale`, `serve`, `obs_overhead`).
+//! `parallel`, `train`, `scale`, `serve`, `obs_overhead`), and the command
+//! line of the table and figure binaries ([`table_args`]).
 //!
-//! One [`Bench`] per run parses the flags, resolves the thread count, times
-//! the legs ([`time`], [`best_of`]), writes the report and checks the
-//! `--assert-*` gates. Every report is the run's metadata (`BenchMeta`), then
+//! Every binary parses its flags with [`cpgan_cli::args::Args`] before any
+//! work and exits 1 on a flag it does not read. One [`Bench`] per gate run
+//! resolves the thread count, times the legs ([`time`], [`best_of`]),
+//! writes the report and checks the `--assert-*` gates. Every report is
+//! the run's metadata (`BenchMeta`), then
 //! `warning`, then the binary's own `#[derive(Serialize)]` body, rendered by
 //! `serde_json`, so reports from different machines and revisions are
 //! comparable without guessing at the environment.
 
+use cpgan_cli::args::Args;
+use cpgan_eval::EvalConfig;
 use serde::{Serialize, Value};
-use std::str::FromStr;
 use std::time::Instant;
 
 /// Set as the report's `warning` when threads are oversubscribed onto a
@@ -57,21 +61,23 @@ impl BenchMeta {
 /// One benchmark run: its flags, thread count, report metadata and gates.
 pub struct Bench {
     name: &'static str,
-    args: Vec<String>,
+    args: Args,
     meta: BenchMeta,
     warning: Option<&'static str>,
     gates: Vec<(bool, String)>,
 }
 
 impl Bench {
-    /// A run with a parallel leg. `--threads N` wins; otherwise every
-    /// hardware thread. On a 1-core box the default would silently time
-    /// serial against serial, so the run takes 4 oversubscribed threads and
-    /// carries a `warning` instead.
-    pub fn parallel(name: &'static str) -> Bench {
-        let args: Vec<String> = std::env::args().skip(1).collect();
+    /// A run with a parallel leg, reading `--threads` besides the binary's
+    /// own value flags `values` (names without `--`). `--threads N` wins;
+    /// otherwise every hardware thread. On a 1-core box the default would
+    /// silently time serial against serial, so the run takes 4
+    /// oversubscribed threads and carries a `warning` instead.
+    pub fn parallel(name: &'static str, values: &[&str]) -> Bench {
+        let args = parse_env(name, &[values, &["threads"]].concat(), &[], 0);
         let hw = hardware_threads();
-        let (threads, warning) = match parse_flag::<usize>(&args, "--threads") {
+        let threads = args.value::<usize>("threads").unwrap_or_else(|e| fail(&e));
+        let (threads, warning) = match threads {
             Some(t) => (t.max(1), None),
             None if hw > 1 => (hw, None),
             None => (4, Some(ONE_CORE_WARNING)),
@@ -80,16 +86,17 @@ impl Bench {
     }
 
     /// A run at a fixed thread count, warned about when that count
-    /// oversubscribes a 1-core box.
-    pub fn fixed(name: &'static str, threads: usize) -> Bench {
-        let args = std::env::args().skip(1).collect();
+    /// oversubscribes a 1-core box. It reads the value flags `values` and
+    /// the bare `switches`.
+    pub fn fixed(name: &'static str, threads: usize, values: &[&str], switches: &[&str]) -> Bench {
+        let args = parse_env(name, values, switches, 0);
         let warning = (hardware_threads() == 1 && threads > 1).then_some(ONE_CORE_WARNING);
         Bench::new(name, args, BenchMeta::capture(threads), warning)
     }
 
     fn new(
         name: &'static str,
-        args: Vec<String>,
+        args: Args,
         meta: BenchMeta,
         warning: Option<&'static str>,
     ) -> Bench {
@@ -110,28 +117,24 @@ impl Bench {
         self.meta.threads
     }
 
-    /// The value after `name`, if the flag was given; exits 1 when it does
-    /// not parse, so a mistyped gate bound never silently disables the gate.
-    pub fn flag<T: FromStr>(&self, name: &str) -> Option<T> {
-        parse_flag(&self.args, name)
+    /// The parsed command line.
+    pub fn args(&self) -> &Args {
+        &self.args
     }
 
-    /// Whether the bare switch `name` was given.
-    pub fn switch(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == name)
-    }
-
-    /// Gates `measured` against the bound given as `--flag bound`, if any:
-    /// `--assert-min-*` flags need `measured >= bound`, all others
-    /// `measured <= bound`. A NaN measurement fails either way.
+    /// Gates `measured` against the bound given as `--flag bound`, if any
+    /// (`flag` without `--`): `assert-min-*` flags need
+    /// `measured >= bound`, all others `measured <= bound`. A NaN
+    /// measurement fails either way. A bound that does not parse exits 1,
+    /// so a mistyped bound never silently disables the gate.
     pub fn gate(&mut self, flag: &str, what: &str, measured: f64) {
-        if let Some(bound) = self.flag::<f64>(flag) {
-            let passed = if flag.starts_with("--assert-min-") {
+        if let Some(bound) = self.args.value::<f64>(flag).unwrap_or_else(|e| fail(&e)) {
+            let passed = if flag.starts_with("assert-min-") {
                 measured >= bound
             } else {
                 measured <= bound
             };
-            let text = format!("{what} = {measured:.4} (bound: {flag} {bound})");
+            let text = format!("{what} = {measured:.4} (bound: --{flag} {bound})");
             self.gates.push((passed, text));
         }
     }
@@ -180,12 +183,64 @@ fn object_fields(value: Value) -> Result<Vec<(String, Value)>, String> {
     }
 }
 
-fn parse_flag<T: FromStr>(args: &[String], name: &str) -> Option<T> {
-    let i = args.iter().position(|a| a == name)?;
-    match args.get(i + 1).map(|v| v.parse()) {
-        Some(Ok(v)) => Some(v),
-        _ => fail(&format!("{name} needs a valid value")),
+/// Parses the process's command line, or exits 1 naming the first token
+/// the binary does not read.
+fn parse_env(name: &str, values: &[&str], switches: &[&str], max_positionals: usize) -> Args {
+    let tokens: Vec<String> = std::env::args().skip(1).collect();
+    Args::parse(&tokens, values, switches, max_positionals)
+        .unwrap_or_else(|e| fail(&format!("{name}: {e}")))
+}
+
+/// The value flags every table and figure binary reads.
+const EVAL_FLAGS: [&str; 4] = ["scale", "seeds", "deep-epochs", "cpgan-epochs"];
+
+/// Parses the command line of a table or figure binary: `--fast`, the
+/// [`EvalConfig`] flags, the binary's own value flags `extra`, and up to
+/// `max_positionals` positionals. Exits 1 on anything else or on a value
+/// that does not parse.
+pub fn table_args(name: &str, extra: &[&str], max_positionals: usize) -> (Args, EvalConfig) {
+    let values = [&EVAL_FLAGS[..], extra].concat();
+    let args = parse_env(name, &values, &["fast"], max_positionals);
+    let cfg = eval_config(&args).unwrap_or_else(|e| fail(&format!("{name}: {e}")));
+    (args, cfg)
+}
+
+/// The [`EvalConfig`] a table command line asks for: `--fast` picks
+/// [`EvalConfig::fast`], then `--scale`, `--seeds`, `--deep-epochs` and
+/// `--cpgan-epochs` override. Zero seeds is an error: a table needs at
+/// least one run per cell.
+pub fn eval_config(args: &Args) -> Result<EvalConfig, String> {
+    let mut cfg = if args.switch("fast") {
+        EvalConfig::fast()
+    } else {
+        EvalConfig::default()
+    };
+    for (flag, field) in EVAL_FLAGS.into_iter().zip([
+        &mut cfg.scale,
+        &mut cfg.seeds,
+        &mut cfg.deep_epochs,
+        &mut cfg.cpgan_epochs,
+    ]) {
+        if let Some(v) = args.value(flag)? {
+            *field = v;
+        }
     }
+    if cfg.seeds == 0 {
+        return Err("flag --seeds must be at least 1".to_string());
+    }
+    Ok(cfg)
+}
+
+/// The efficiency sweep sizes: every `cpgan_data::sweep::SWEEP_SIZES`
+/// entry up to `--max-size` (default 100k, or 1k under `--fast`).
+pub fn sweep_sizes(args: &Args) -> Result<Vec<usize>, String> {
+    let default = if args.switch("fast") { 1_000 } else { 100_000 };
+    let max = args.value("max-size")?.unwrap_or(default);
+    Ok(cpgan_data::sweep::SWEEP_SIZES
+        .iter()
+        .copied()
+        .filter(|&n| n <= max)
+        .collect())
 }
 
 fn hardware_threads() -> usize {
@@ -229,6 +284,10 @@ mod tests {
     use super::*;
     use std::cell::RefCell;
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
     fn bench(threads_env: Option<&str>, warning: Option<&'static str>, args: &[&str]) -> Bench {
         let meta = BenchMeta {
             available_parallelism: 2,
@@ -236,8 +295,18 @@ mod tests {
             cpgan_threads_env: threads_env.map(str::to_string),
             git_rev: "abc1234".to_string(),
         };
-        let args = args.iter().map(|a| a.to_string()).collect();
+        let values = ["assert-min-x", "assert-max-y", "assert-min-z"];
+        let args = Args::parse(&strings(args), &values, &[], 0).unwrap();
         Bench::new("test", args, meta, warning)
+    }
+
+    fn table(args: &[&str]) -> Result<Args, String> {
+        Args::parse(
+            &strings(args),
+            &[&EVAL_FLAGS[..], &["max-size"]].concat(),
+            &["fast"],
+            0,
+        )
     }
 
     #[derive(Serialize)]
@@ -309,12 +378,52 @@ mod tests {
             None,
             &["--assert-min-x", "1.5", "--assert-max-y", "100"],
         );
-        b.gate("--assert-min-x", "x", 1.6);
-        b.gate("--assert-max-y", "y", 120.0);
-        b.gate("--assert-min-z", "z", 0.0);
-        b.gate("--assert-min-x", "nan", f64::NAN);
+        b.gate("assert-min-x", "x", 1.6);
+        b.gate("assert-max-y", "y", 120.0);
+        b.gate("assert-min-z", "z", 0.0);
+        b.gate("assert-min-x", "nan", f64::NAN);
         let passed: Vec<bool> = b.gates.iter().map(|(p, _)| *p).collect();
         assert_eq!(passed, [true, false, false]);
         assert_eq!(b.gates[1].1, "y = 120.0000 (bound: --assert-max-y 100)");
+    }
+
+    #[test]
+    fn arg_parsing() {
+        let cfg = eval_config(&table(&["--scale", "32", "--seeds", "3"]).unwrap()).unwrap();
+        assert_eq!(cfg.scale, 32);
+        assert_eq!(cfg.seeds, 3);
+    }
+
+    #[test]
+    fn fast_flag() {
+        let args = table(&["--fast"]).unwrap();
+        assert_eq!(eval_config(&args).unwrap().seeds, 1);
+        assert_eq!(sweep_sizes(&args).unwrap(), vec![100, 1_000]);
+    }
+
+    #[test]
+    fn sweep_sizes_default_and_capped() {
+        assert_eq!(
+            sweep_sizes(&table(&[]).unwrap()).unwrap(),
+            vec![100, 1_000, 10_000, 100_000]
+        );
+        let args = table(&["--max-size", "10000"]).unwrap();
+        assert_eq!(sweep_sizes(&args).unwrap(), vec![100, 1_000, 10_000]);
+    }
+
+    #[test]
+    fn bad_flag_values_are_errors_naming_the_flag() {
+        let err = eval_config(&table(&["--scale", "abc"]).unwrap()).unwrap_err();
+        assert!(err.contains("--scale") && err.contains("abc"), "{err}");
+        let err = table(&["--fast", "--seeds"]).unwrap_err();
+        assert!(err.contains("--seeds"), "{err}");
+        let err = eval_config(&table(&["--seeds", "0"]).unwrap()).unwrap_err();
+        assert!(err.contains("--seeds"), "{err}");
+        let err = sweep_sizes(&table(&["--max-size", "10k"]).unwrap()).unwrap_err();
+        assert!(err.contains("--max-size") && err.contains("10k"), "{err}");
+        let err = table(&["--max-size"]).unwrap_err();
+        assert!(err.contains("--max-size"), "{err}");
+        let err = table(&["--fast", "--scael", "2"]).unwrap_err();
+        assert!(err.contains("--scael"), "{err}");
     }
 }

@@ -1,44 +1,58 @@
-//! Minimal `--key value` argument parsing (no external dependency).
+//! The one command-line parser of the workspace's binaries: `--key value`
+//! flags, bare `--switch`es and positionals (no external dependency).
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::str::FromStr;
 
-/// Flags every subcommand accepts.
-const GLOBAL_FLAGS: [&str; 2] = ["threads", "obs-out"];
-
-/// Parsed `--key value` pairs.
+/// A parsed command line.
 #[derive(Debug, Default)]
 pub struct Args {
     values: BTreeMap<String, String>,
+    switches: Vec<String>,
+    positionals: Vec<String>,
 }
 
 impl Args {
-    /// Parses alternating `--key value` tokens; rejects stray positionals,
-    /// flags without values, and flags outside `known` and the global
-    /// `--threads` / `--obs-out`, so a misspelt flag cannot silently fall
-    /// back to a default.
-    pub fn parse(tokens: &[String], known: &[&str]) -> Result<Args, String> {
-        let mut values = BTreeMap::new();
+    /// Parses `tokens` against what the command reads: the flags in
+    /// `values` take a value, the ones in `switches` stand alone (names
+    /// without the leading `--`), and up to `max_positionals` bare words
+    /// are kept in order. Any other flag, a value flag without its value
+    /// and a surplus positional are errors naming the token, so a misspelt
+    /// flag cannot silently fall back to a default.
+    pub fn parse(
+        tokens: &[String],
+        values: &[&str],
+        switches: &[&str],
+        max_positionals: usize,
+    ) -> Result<Args, String> {
+        let mut args = Args::default();
         let mut it = tokens.iter();
         while let Some(tok) = it.next() {
-            let key = tok
-                .strip_prefix("--")
-                .ok_or_else(|| format!("unexpected argument '{tok}'"))?;
-            if !known.contains(&key) && !GLOBAL_FLAGS.contains(&key) {
-                return Err(format!("unknown flag --{key} for this subcommand"));
+            let Some(key) = tok.strip_prefix("--") else {
+                if args.positionals.len() == max_positionals {
+                    return Err(format!("unexpected argument '{tok}'"));
+                }
+                args.positionals.push(tok.clone());
+                continue;
+            };
+            if switches.contains(&key) {
+                args.switches.push(key.to_string());
+            } else if values.contains(&key) {
+                let value = it
+                    .next()
+                    .ok_or_else(|| format!("flag --{key} needs a value"))?;
+                args.values.insert(key.to_string(), value.clone());
+            } else {
+                return Err(format!("unknown flag --{key} for this command"));
             }
-            let value = it
-                .next()
-                .ok_or_else(|| format!("flag --{key} needs a value"))?;
-            values.insert(key.to_string(), value.clone());
         }
-        Ok(Args { values })
+        Ok(args)
     }
 
     /// A required string flag.
     pub fn require(&self, key: &str) -> Result<String, String> {
-        self.values
-            .get(key)
-            .cloned()
+        self.get(key)
             .ok_or_else(|| format!("missing required flag --{key}"))
     }
 
@@ -47,26 +61,29 @@ impl Args {
         self.values.get(key).cloned()
     }
 
-    /// An optional usize flag.
-    pub fn get_usize(&self, key: &str) -> Result<Option<usize>, String> {
+    /// An optional flag parsed as `T`; a value that does not parse is an
+    /// error naming the flag.
+    pub fn value<T: FromStr>(&self, key: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
         self.values
             .get(key)
             .map(|v| {
                 v.parse()
-                    .map_err(|e| format!("flag --{key}: invalid number '{v}' ({e})"))
+                    .map_err(|e| format!("flag --{key}: invalid value '{v}' ({e})"))
             })
             .transpose()
     }
 
-    /// An optional u64 flag.
-    pub fn get_u64(&self, key: &str) -> Result<Option<u64>, String> {
-        self.values
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .map_err(|e| format!("flag --{key}: invalid number '{v}' ({e})"))
-            })
-            .transpose()
+    /// Whether the bare switch `key` was given.
+    pub fn switch(&self, key: &str) -> bool {
+        self.switches.iter().any(|s| s == key)
+    }
+
+    /// The positionals, in command-line order.
+    pub fn positionals(&self) -> &[String] {
+        &self.positionals
     }
 }
 
@@ -82,26 +99,48 @@ mod tests {
 
     #[test]
     fn parses_pairs() {
-        let a = Args::parse(&toks(&["--input", "g.txt", "--epochs", "10"]), KNOWN).unwrap();
+        let a = Args::parse(
+            &toks(&["--input", "g.txt", "--epochs", "10"]),
+            KNOWN,
+            &[],
+            0,
+        )
+        .unwrap();
         assert_eq!(a.require("input").unwrap(), "g.txt");
-        assert_eq!(a.get_usize("epochs").unwrap(), Some(10));
-        assert_eq!(a.get_usize("absent").unwrap(), None);
+        assert_eq!(a.value::<usize>("epochs").unwrap(), Some(10));
+        assert_eq!(a.value::<usize>("absent").unwrap(), None);
     }
 
     #[test]
     fn rejects_bad_input() {
-        assert!(Args::parse(&toks(&["positional"]), KNOWN).is_err());
-        assert!(Args::parse(&toks(&["--epochs"]), KNOWN).is_err());
-        let a = Args::parse(&toks(&["--epochs", "abc"]), KNOWN).unwrap();
-        assert!(a.get_usize("epochs").is_err());
+        assert!(Args::parse(&toks(&["positional"]), KNOWN, &[], 0).is_err());
+        assert!(Args::parse(&toks(&["--epochs"]), KNOWN, &[], 0).is_err());
+        let a = Args::parse(&toks(&["--epochs", "abc"]), KNOWN, &[], 0).unwrap();
+        let err = a.value::<usize>("epochs").unwrap_err();
+        assert!(err.contains("--epochs") && err.contains("abc"), "{err}");
         assert!(a.require("missing").is_err());
     }
 
     #[test]
     fn rejects_flags_the_subcommand_does_not_read() {
-        let err = Args::parse(&toks(&["--epoch", "5"]), KNOWN).unwrap_err();
+        let err = Args::parse(&toks(&["--epoch", "5"]), KNOWN, &[], 0).unwrap_err();
         assert!(err.contains("--epoch "), "{err}");
-        let a = Args::parse(&toks(&["--threads", "2", "--obs-out", "o.jsonl"]), KNOWN).unwrap();
-        assert_eq!(a.get_usize("threads").unwrap(), Some(2));
+        // A switch the command does not read is as unknown as a value flag.
+        let err = Args::parse(&toks(&["--fast"]), KNOWN, &[], 0).unwrap_err();
+        assert!(err.contains("--fast "), "{err}");
+    }
+
+    #[test]
+    fn switches_and_positionals() {
+        let tokens = toks(&["verify", "--fast", "a", "--epochs", "3", "b"]);
+        let a = Args::parse(&tokens, KNOWN, &["fast"], 3).unwrap();
+        assert!(a.switch("fast") && !a.switch("slow"));
+        assert_eq!(a.positionals(), ["verify", "a", "b"]);
+        assert_eq!(a.value::<u64>("epochs").unwrap(), Some(3));
+        // A switch never swallows the next token as its value.
+        let a = Args::parse(&toks(&["--fast", "x"]), KNOWN, &["fast"], 1).unwrap();
+        assert_eq!(a.positionals(), ["x"]);
+        let err = Args::parse(&tokens, KNOWN, &["fast"], 2).unwrap_err();
+        assert!(err.contains("'b'"), "{err}");
     }
 }

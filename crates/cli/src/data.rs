@@ -2,131 +2,47 @@
 //!
 //! ```text
 //! cpgan data list
-//! cpgan data fetch  <name> [--data-dir DIR] [--offline]
-//! cpgan data verify <name> [--data-dir DIR] [--offline] [--report PATH]
-//! cpgan data stats  <name> [--data-dir DIR] [--offline]
-//! cpgan data ingest <name> --output <edge-list> [--data-dir DIR] [--offline]
+//! cpgan data fetch  <name> [--data-dir DIR]
+//! cpgan data verify <name> [--data-dir DIR] [--report PATH]
+//! cpgan data stats  <name> [--data-dir DIR]
+//! cpgan data ingest <name> --output <edge-list> [--data-dir DIR]
 //! ```
 //!
-//! Unlike the other subcommands this one takes a positional action and
-//! dataset name plus bare `--offline`, so it parses its own tokens
-//! instead of going through `args::Args`. `--threads N` and
-//! `--obs-out PATH` work here like everywhere else.
+//! The action and the dataset names are positionals of the shared parser;
+//! `--scale S` and `--seed S` size the synthetic entries.
 
+use cpgan_cli::args::Args;
 use cpgan_datasets::{fetch, load, registry, verify, Cache, FetchAction, LoadOptions};
 use cpgan_graph::io;
 use std::path::PathBuf;
 
-/// Parsed `cpgan data` invocation.
-struct DataArgs {
-    action: String,
-    names: Vec<String>,
-    data_dir: Option<PathBuf>,
-    offline: bool,
-    report: Option<String>,
-    output: Option<String>,
-    scale: usize,
-    seed: u64,
-    threads: Option<usize>,
-    obs_out: Option<String>,
-}
-
-fn parse(tokens: &[String]) -> Result<DataArgs, String> {
-    let mut it = tokens.iter();
-    let action = it.next().ok_or("data: missing action")?.clone();
-    let mut args = DataArgs {
-        action,
-        names: Vec::new(),
-        data_dir: None,
-        offline: false,
-        report: None,
-        output: None,
-        scale: 1,
-        seed: 1,
-        threads: None,
-        obs_out: None,
+/// Entry point: `args` holds the action, then the dataset names.
+pub fn run(args: &Args) -> Result<(), String> {
+    let (action, names) = args
+        .positionals()
+        .split_first()
+        .ok_or("data: missing action")?;
+    let names = || match names {
+        [] => Err(format!("data {action}: missing dataset name")),
+        names => Ok(names),
     };
-    while let Some(tok) = it.next() {
-        let mut value = |key: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("data: flag --{key} needs a value"))
-        };
-        match tok.as_str() {
-            "--offline" => args.offline = true,
-            "--data-dir" => args.data_dir = Some(PathBuf::from(value("data-dir")?)),
-            "--report" => args.report = Some(value("report")?),
-            "--output" => args.output = Some(value("output")?),
-            "--scale" => {
-                let v = value("scale")?;
-                args.scale = v
-                    .parse()
-                    .map_err(|e| format!("data: --scale: invalid number '{v}' ({e})"))?;
-            }
-            "--seed" => {
-                let v = value("seed")?;
-                args.seed = v
-                    .parse()
-                    .map_err(|e| format!("data: --seed: invalid number '{v}' ({e})"))?;
-            }
-            "--threads" => {
-                let v = value("threads")?;
-                args.threads = Some(
-                    v.parse()
-                        .map_err(|e| format!("data: --threads: invalid number '{v}' ({e})"))?,
-                );
-            }
-            "--obs-out" => args.obs_out = Some(value("obs-out")?),
-            flag if flag.starts_with("--") => {
-                return Err(format!("data: unknown flag '{flag}'"));
-            }
-            name => args.names.push(name.to_string()),
-        }
-    }
-    Ok(args)
-}
-
-fn options(args: &DataArgs) -> LoadOptions {
-    LoadOptions {
-        data_dir: args.data_dir.clone(),
-        offline: args.offline,
-        scale: args.scale,
-        seed: args.seed,
-        ..LoadOptions::default()
-    }
-}
-
-/// Entry point, dispatched from `main` before the `--key value` parser.
-pub fn run(tokens: &[String]) -> Result<(), String> {
-    let args = parse(tokens)?;
-    if args.obs_out.is_some() {
-        cpgan_obs::set_enabled(true);
-    }
-    let dispatch = || match args.action.as_str() {
-        "list" => list(&args),
-        "fetch" => do_fetch(&args),
-        "verify" => do_verify(&args),
-        "stats" => do_stats(&args),
-        "ingest" => do_ingest(&args),
+    let opts = LoadOptions {
+        data_dir: args.get("data-dir").map(PathBuf::from),
+        scale: args.value("scale")?.unwrap_or(1),
+        seed: args.value("seed")?.unwrap_or(1),
+    };
+    match action.as_str() {
+        "list" => list(&opts),
+        "fetch" => do_fetch(&opts, names()?),
+        "verify" => do_verify(&opts, names()?, args.get("report")),
+        "stats" => do_stats(&opts, names()?),
+        "ingest" => do_ingest(&opts, names()?, args.get("output")),
         other => Err(format!("data: unknown action '{other}'")),
-    };
-    let result = match args.threads {
-        Some(n) => cpgan_parallel::with_thread_count(n, dispatch),
-        None => dispatch(),
-    };
-    cpgan_obs::finish(args.obs_out.as_deref());
-    result
-}
-
-fn require_names(args: &DataArgs) -> Result<&[String], String> {
-    if args.names.is_empty() {
-        return Err(format!("data {}: missing dataset name", args.action));
     }
-    Ok(&args.names)
 }
 
-fn list(args: &DataArgs) -> Result<(), String> {
-    let cache = Cache::resolve(args.data_dir.as_deref());
+fn list(opts: &LoadOptions) -> Result<(), String> {
+    let cache = Cache::resolve(opts.data_dir.as_deref());
     let cached = cache.scan().map_err(|e| e.to_string())?;
     println!(
         "{:<26} {:>8} {:>9}  {:<10} cached",
@@ -154,11 +70,11 @@ fn list(args: &DataArgs) -> Result<(), String> {
     Ok(())
 }
 
-fn do_fetch(args: &DataArgs) -> Result<(), String> {
-    let cache = Cache::resolve(args.data_dir.as_deref());
-    for name in require_names(args)? {
+fn do_fetch(opts: &LoadOptions, names: &[String]) -> Result<(), String> {
+    let cache = Cache::resolve(opts.data_dir.as_deref());
+    for name in names {
         let entry = registry::resolve(name).map_err(|e| e.to_string())?;
-        let outcomes = fetch(entry, &cache, args.offline).map_err(|e| e.to_string())?;
+        let outcomes = fetch(entry, &cache).map_err(|e| e.to_string())?;
         if outcomes.is_empty() {
             println!("{name}: synthesized at load time (nothing to fetch)");
         }
@@ -177,19 +93,18 @@ fn do_fetch(args: &DataArgs) -> Result<(), String> {
     Ok(())
 }
 
-fn do_verify(args: &DataArgs) -> Result<(), String> {
-    let opts = options(args);
+fn do_verify(opts: &LoadOptions, names: &[String], report: Option<String>) -> Result<(), String> {
     let mut reports = Vec::new();
     let mut all_pass = true;
-    for name in require_names(args)? {
+    for name in names {
         let entry = registry::resolve(name).map_err(|e| e.to_string())?;
-        let loaded = load(entry, &opts).map_err(|e| e.to_string())?;
+        let loaded = load(entry, opts).map_err(|e| e.to_string())?;
         let report = verify::verify(entry, &loaded.graph, verify::DEFAULT_CPL_SOURCES);
         print!("{}", report.render());
         all_pass &= report.passed();
         reports.push(report);
     }
-    if let Some(path) = &args.report {
+    if let Some(path) = &report {
         let json: Vec<String> = reports.iter().map(verify::VerifyReport::to_json).collect();
         std::fs::write(path, format!("[{}]\n", json.join(",")))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -202,11 +117,10 @@ fn do_verify(args: &DataArgs) -> Result<(), String> {
     }
 }
 
-fn do_stats(args: &DataArgs) -> Result<(), String> {
-    let opts = options(args);
-    for name in require_names(args)? {
+fn do_stats(opts: &LoadOptions, names: &[String]) -> Result<(), String> {
+    for name in names {
         let entry = registry::resolve(name).map_err(|e| e.to_string())?;
-        let loaded = load(entry, &opts).map_err(|e| e.to_string())?;
+        let loaded = load(entry, opts).map_err(|e| e.to_string())?;
         let s = cpgan_graph::stats::GraphStats::compute(&loaded.graph, 128);
         println!("{name} ({}):", loaded.title);
         println!("  nodes:            {}", s.n);
@@ -217,8 +131,8 @@ fn do_stats(args: &DataArgs) -> Result<(), String> {
         println!("  power-law exp:    {:.4}", s.pwe);
         if let Some(ing) = &loaded.ingest {
             println!(
-                "  ingest:           {} raw edges, {} self-loops seen ({} dropped), {} duplicates merged",
-                ing.raw_edges, ing.self_loops_seen, ing.self_loops_dropped, ing.duplicates_merged
+                "  ingest:           {} raw edges, {} self-loops dropped, {} duplicates merged",
+                ing.raw_edges, ing.self_loops_dropped, ing.duplicates_merged
             );
         }
         if let Some(labels) = &loaded.node_labels {
@@ -229,19 +143,14 @@ fn do_stats(args: &DataArgs) -> Result<(), String> {
     Ok(())
 }
 
-fn do_ingest(args: &DataArgs) -> Result<(), String> {
-    let output = args
-        .output
-        .as_deref()
-        .ok_or("data ingest: missing --output")?;
-    let opts = options(args);
-    let names = require_names(args)?;
-    if names.len() != 1 {
+fn do_ingest(opts: &LoadOptions, names: &[String], output: Option<String>) -> Result<(), String> {
+    let output = output.ok_or("data ingest: missing --output")?;
+    let [name] = names else {
         return Err("data ingest: exactly one dataset name expected".to_string());
-    }
-    let entry = registry::resolve(&names[0]).map_err(|e| e.to_string())?;
-    let loaded = load(entry, &opts).map_err(|e| e.to_string())?;
-    io::save(&loaded.graph, output).map_err(|e| format!("cannot write {output}: {e}"))?;
+    };
+    let entry = registry::resolve(name).map_err(|e| e.to_string())?;
+    let loaded = load(entry, opts).map_err(|e| e.to_string())?;
+    io::save(&loaded.graph, &output).map_err(|e| format!("cannot write {output}: {e}"))?;
     eprintln!(
         "ingested {}: {} nodes / {} edges -> {output}",
         loaded.name,

@@ -22,10 +22,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
 
-mod args;
 mod data;
 
-use args::Args;
+use cpgan_cli::args::Args;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -51,7 +50,7 @@ fn usage() -> &'static str {
      cpgan shard    --input <edge-list> --output <edge-list> [--max-shard-size N] [--budget-mb N]\n                 \
      [--epochs N] [--sample-size N] [--seed S]\n  \
      cpgan data     list | fetch <name> | verify <name> [--report PATH] | stats <name>\n                 \
-     | ingest <name> --output <edge-list>   (all: [--data-dir DIR] [--offline];\n                 \
+     | ingest <name> --output <edge-list>   (all: [--data-dir DIR];\n                 \
      synthetic entries: [--scale S] [--seed S]; see DESIGN.md \u{a7}15)\n\n\
      any subcommand also accepts:\n  \
      --threads N     worker threads for parallel kernels (same as CPGAN_THREADS=N;\n                  \
@@ -63,22 +62,27 @@ fn usage() -> &'static str {
 /// A subcommand's entry point.
 type Handler = fn(&Args) -> Result<(), String>;
 
-/// Each subcommand's entry point and the flags it reads, besides the
-/// global `--threads` and `--obs-out`: any other flag is an error, not a
-/// silent default.
-const COMMANDS: &[(&str, Handler, &[&str])] = &[
+/// Flags every subcommand accepts.
+const GLOBAL_FLAGS: [&str; 2] = ["threads", "obs-out"];
+
+/// Each subcommand's entry point, the flags it reads besides
+/// [`GLOBAL_FLAGS`], and how many positionals it takes: any other flag or
+/// positional is an error, not a silent default.
+const COMMANDS: &[(&str, Handler, &[&str], usize)] = &[
     (
         "fit",
         fit,
         &["input", "model", "epochs", "sample-size", "seed"],
+        0,
     ),
     (
         "generate",
         generate,
         &["model", "output", "nodes", "edges", "seed"],
+        0,
     ),
-    ("stats", show_stats, &["input"]),
-    ("eval", eval, &["observed", "generated"]),
+    ("stats", show_stats, &["input"], 0),
+    ("eval", eval, &["observed", "generated"], 0),
     (
         "serve",
         serve,
@@ -92,6 +96,7 @@ const COMMANDS: &[(&str, Handler, &[&str])] = &[
             "cache-mb",
             "max-conns",
         ],
+        0,
     ),
     (
         "shard",
@@ -105,22 +110,30 @@ const COMMANDS: &[(&str, Handler, &[&str])] = &[
             "sample-size",
             "seed",
         ],
+        0,
+    ),
+    // `data <action> [name...]`: the action and dataset names are
+    // positionals.
+    (
+        "data",
+        data::run,
+        &["data-dir", "report", "output", "scale", "seed"],
+        usize::MAX,
     ),
 ];
 
 fn run(argv: &[String]) -> Result<(), String> {
     let (cmd, rest) = argv.split_first().ok_or("missing subcommand")?;
-    // `data` takes positional actions/names and bare `--offline`, which the
-    // strict `--key value` parser rejects — it owns its token parsing (and
-    // its own --threads/--obs-out glue).
-    if cmd == "data" {
-        return data::run(rest);
-    }
-    let (_, handler, flags) = COMMANDS
+    let (_, handler, flags, max_positionals) = COMMANDS
         .iter()
         .find(|(name, ..)| *name == cmd.as_str())
         .ok_or_else(|| format!("unknown subcommand '{cmd}'"))?;
-    let args = Args::parse(rest, flags)?;
+    let args = Args::parse(
+        rest,
+        &[*flags, &GLOBAL_FLAGS[..]].concat(),
+        &[],
+        *max_positionals,
+    )?;
     // `--obs-out <path>` turns on observability collection and names the
     // JSONL sink (equivalent to CPGAN_OBS=1 CPGAN_OBS_OUT=<path>).
     let obs_out = args.get("obs-out");
@@ -132,7 +145,7 @@ fn run(argv: &[String]) -> Result<(), String> {
     // bit-identical at any setting). `serve` routes it through its own
     // per-worker generation budget instead, so the override is applied to
     // worker threads rather than this (main) thread.
-    let threads = args.get_usize("threads")?;
+    let threads = args.value::<usize>("threads")?;
     let dispatch = || handler(&args);
     let result = match threads {
         Some(n) if cmd != "serve" => cpgan_parallel::with_thread_count(n, dispatch),
@@ -153,9 +166,9 @@ fn fit(args: &Args) -> Result<(), String> {
     let g = load_graph(&input)?;
     eprintln!("observed graph: {} nodes, {} edges", g.n(), g.m());
     let cfg = CpGanConfig {
-        epochs: args.get_usize("epochs")?.unwrap_or(400),
-        sample_size: args.get_usize("sample-size")?.unwrap_or(200),
-        seed: args.get_u64("seed")?.unwrap_or(42),
+        epochs: args.value::<usize>("epochs")?.unwrap_or(400),
+        sample_size: args.value::<usize>("sample-size")?.unwrap_or(200),
+        seed: args.value::<u64>("seed")?.unwrap_or(42),
         ..CpGanConfig::default()
     };
     let mut model = CpGan::try_new(cfg).map_err(|e| e.to_string())?;
@@ -184,14 +197,14 @@ fn generate(args: &Args) -> Result<(), String> {
         .trained_shape()
         .ok_or("model is untrained; pass --nodes and --edges")
         .or_else(
-            |e| match (args.get_usize("nodes"), args.get_usize("edges")) {
+            |e| match (args.value::<usize>("nodes"), args.value::<usize>("edges")) {
                 (Ok(Some(n)), Ok(Some(m))) => Ok((n, m)),
                 _ => Err(e.to_string()),
             },
         )?;
-    let n = args.get_usize("nodes")?.unwrap_or(def_n);
-    let m = args.get_usize("edges")?.unwrap_or(def_m);
-    let mut rng = StdRng::seed_from_u64(args.get_u64("seed")?.unwrap_or(7));
+    let n = args.value::<usize>("nodes")?.unwrap_or(def_n);
+    let m = args.value::<usize>("edges")?.unwrap_or(def_m);
+    let mut rng = StdRng::seed_from_u64(args.value::<u64>("seed")?.unwrap_or(7));
     let out = model.generate(n, m, &mut rng);
     io::save(&out, &output).map_err(|e| format!("cannot write {output}: {e}"))?;
     eprintln!(
@@ -218,14 +231,14 @@ fn serve(args: &Args) -> Result<(), String> {
         addr: args
             .get("addr")
             .unwrap_or_else(|| "127.0.0.1:8787".to_string()),
-        workers: args.get_usize("workers")?.unwrap_or(0),
-        queue_depth: args.get_usize("queue-depth")?.unwrap_or(64),
-        deadline_ms: args.get_u64("deadline-ms")?.unwrap_or(5_000),
-        gen_threads: args.get_usize("threads")?,
-        idle_ms: args.get_u64("idle-ms")?.unwrap_or(5_000),
+        workers: args.value::<usize>("workers")?.unwrap_or(0),
+        queue_depth: args.value::<usize>("queue-depth")?.unwrap_or(64),
+        deadline_ms: args.value::<u64>("deadline-ms")?.unwrap_or(5_000),
+        gen_threads: args.value::<usize>("threads")?,
+        idle_ms: args.value::<u64>("idle-ms")?.unwrap_or(5_000),
         // `--cache-mb 0` disables the generation cache entirely.
-        cache_bytes: args.get_usize("cache-mb")?.unwrap_or(16) * 1024 * 1024,
-        max_conns: args.get_usize("max-conns")?.unwrap_or(1024),
+        cache_bytes: args.value::<usize>("cache-mb")?.unwrap_or(16) * 1024 * 1024,
+        max_conns: args.value::<usize>("max-conns")?.unwrap_or(1024),
     };
     // The metrics endpoint serves the merged cpgan-obs report; a server
     // without collection would serve an empty document forever.
@@ -236,7 +249,7 @@ fn serve(args: &Args) -> Result<(), String> {
          POST /v1/generate, GET /v1/models /healthz /metrics",
         server.addr(),
         server.worker_count(),
-        args.get_usize("queue-depth")?.unwrap_or(64),
+        args.value::<usize>("queue-depth")?.unwrap_or(64),
     );
     server.wait();
     Ok(())
@@ -248,15 +261,15 @@ fn shard(args: &Args) -> Result<(), String> {
     let g = load_graph(&input)?;
     eprintln!("observed graph: {} nodes, {} edges", g.n(), g.m());
     let model = CpGanConfig {
-        epochs: args.get_usize("epochs")?.unwrap_or(20),
-        sample_size: args.get_usize("sample-size")?.unwrap_or(60),
+        epochs: args.value::<usize>("epochs")?.unwrap_or(20),
+        sample_size: args.value::<usize>("sample-size")?.unwrap_or(60),
         ..CpGanConfig::tiny()
     };
     let cfg = cpgan_shard::ShardConfig {
-        max_shard_size: args.get_usize("max-shard-size")?.unwrap_or(4000),
-        memory_budget_bytes: args.get_usize("budget-mb")?.unwrap_or(256) << 20,
+        max_shard_size: args.value::<usize>("max-shard-size")?.unwrap_or(4000),
+        memory_budget_bytes: args.value::<usize>("budget-mb")?.unwrap_or(256) << 20,
         model,
-        seed: args.get_u64("seed")?.unwrap_or(42),
+        seed: args.value::<u64>("seed")?.unwrap_or(42),
         ..cpgan_shard::ShardConfig::default()
     };
     let pipeline = cpgan_shard::ShardPipeline::new(cfg).map_err(|e| e.to_string())?;

@@ -98,6 +98,53 @@ fn check_sim_state(mu: &Matrix, sigma: &Matrix, degrees: &[f64]) -> Result<(), S
     Ok(())
 }
 
+/// How far a configuration may outgrow its snapshot and still be built:
+/// within these margins the loader builds the model and names the first
+/// tensor whose shape differs; beyond them it refuses before allocating.
+const SLACK_TENSORS: usize = 64;
+const SLACK_PARAMETERS: f64 = (1 << 20) as f64;
+
+/// Rejects a configuration whose model would need far more tensors or
+/// parameters than the snapshot stores, before any of them is allocated,
+/// so a corrupt size field is a typed error rather than an allocation
+/// abort. The counts are lower bounds every model meets: `levels ·
+/// convs_per_level` encoder convolutions (the first `(spectral_dim + 1) ×
+/// hidden`, the rest `hidden × hidden`), a pool and a depool `hidden ×
+/// size` per extra level, the link head's two `hidden × hidden` layers,
+/// and the variational module's two `hidden × (levels · latent)` output
+/// layers. They are counted in `f64`, which cannot overflow here.
+fn check_size(cfg: &CpGanConfig, parameters: &[Matrix]) -> Result<(), String> {
+    cfg.validate().map_err(|e| e.to_string())?;
+    let (levels, h) = (cfg.effective_levels() as f64, cfg.hidden_dim as f64);
+    let convs = levels * cfg.convs_per_level as f64;
+    let tensors = convs + 2.0 * (levels - 1.0);
+    if tensors > (parameters.len() + SLACK_TENSORS) as f64 {
+        let have = parameters.len();
+        return Err(format!(
+            "config needs at least {tensors} tensors, snapshot has {have}"
+        ));
+    }
+    let pools: f64 = cfg
+        .pool_sizes(cfg.sample_size)
+        .iter()
+        .map(|&p| 2.0 * h * p as f64)
+        .sum();
+    let needed = (cfg.spectral_dim as f64 + 1.0) * h
+        + (convs + 1.0) * h * h
+        + pools
+        + 2.0 * levels * cfg.latent_dim as f64 * h;
+    let stored: f64 = parameters
+        .iter()
+        .map(|m| (m.rows() * m.cols()) as f64)
+        .sum();
+    if needed > stored + SLACK_PARAMETERS {
+        return Err(format!(
+            "config needs at least {needed} parameters, snapshot stores {stored}"
+        ));
+    }
+    Ok(())
+}
+
 impl CpGan {
     /// Serializes the model to a snapshot.
     pub fn snapshot(&self) -> ModelSnapshot {
@@ -117,7 +164,9 @@ impl CpGan {
                 snap.version
             )));
         }
-        let mut model = CpGan::new(snap.config);
+        check_size(&snap.config, &snap.parameters).map_err(PersistError::Incompatible)?;
+        let mut model =
+            CpGan::try_new(snap.config).map_err(|e| PersistError::Incompatible(e.to_string()))?;
         model
             .params()
             .import_values(snap.parameters)

@@ -5,9 +5,7 @@
 //! same seeded stream; this module re-exports it under the historical path.
 //! [`weighted_prefix_shuffle`] is generation's per-round node draw.
 
-pub use cpgan_graph::sampling::{
-    sample_nodes_by_degree, sample_nodes_uniform, sample_subgraph, SubgraphSampler,
-};
+pub use cpgan_graph::sampling::{sample_nodes_by_degree, sample_subgraph, SubgraphSampler};
 use cpgan_graph::NodeId;
 use rand::Rng;
 

@@ -21,7 +21,6 @@
 
 use cpgan_datasets::{formats, registry, sha256, verify, DatasetError, Format};
 use cpgan_graph::stats::{gini, powerlaw};
-use cpgan_graph::{DuplicatePolicy, SelfLoopPolicy};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -248,8 +247,8 @@ fn rewire(edges: &mut [(u32, u32)], attempts: usize, rng: &mut StdRng) {
 
 /// Nodes with no incident edge. They still must appear in the file for
 /// the interner to count them, so the writers emit them as self-loop
-/// lines (dropped at ingest under `SelfLoopPolicy::Drop`, exactly like
-/// self-citations in the real files).
+/// lines (dropped at ingest, exactly like self-citations in the real
+/// files).
 fn isolated(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
     let mut seen = vec![false; n];
     for &(u, v) in edges {
@@ -334,7 +333,7 @@ fn paper_ids(n: usize, rng: &mut StdRng) -> Vec<String> {
 fn report(name: &str, path: &Path, format: Format) -> Result<(), DatasetError> {
     let entry = registry::resolve(name)?;
     let files: Vec<(PathBuf, Format)> = vec![(path.to_path_buf(), format)];
-    let ingested = formats::ingest_files(&files, SelfLoopPolicy::Drop, DuplicatePolicy::Merge)?;
+    let ingested = formats::ingest_files(&files)?;
     let report = verify::verify(entry, &ingested.graph, verify::DEFAULT_CPL_SOURCES);
     println!("{}", report.render());
     println!("  pin the measured column above as `{name}`'s recorded reference stats");

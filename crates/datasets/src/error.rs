@@ -23,7 +23,7 @@ pub enum DatasetError {
         message: String,
     },
     /// The graph builder rejected the edge stream (endpoint out of range,
-    /// policy violation, non-replayable stream).
+    /// non-replayable stream).
     Graph(GraphError),
     /// The name matches no registry entry.
     UnknownDataset {
@@ -38,15 +38,6 @@ pub enum DatasetError {
         expected: String,
         /// Computed checksum (lowercase hex).
         actual: String,
-    },
-    /// Offline mode forbids satisfying a remote-only file.
-    OfflineRemote {
-        /// Dataset the file belongs to.
-        dataset: String,
-        /// The missing file.
-        file: String,
-        /// Where it would have to come from.
-        url: String,
     },
     /// This build has no network stack; the file must be placed in the
     /// cache by hand.
@@ -88,10 +79,6 @@ impl fmt::Display for DatasetError {
                 f,
                 "{file}: SHA-256 mismatch (expected {expected}, got {actual}); \
                  delete the file and re-fetch"
-            ),
-            DatasetError::OfflineRemote { dataset, file, url } => write!(
-                f,
-                "offline mode: '{dataset}' needs remote file {file} from {url}"
             ),
             DatasetError::ManualDownload { url, dest } => write!(
                 f,

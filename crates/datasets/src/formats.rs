@@ -11,8 +11,8 @@
 //!
 //! All node ids — numeric or not — are interned to dense `u32` ids in
 //! first-appearance order (deterministic for a given file set). Directed
-//! inputs are symmetrized by construction: `(u, v)` and `(v, u)` collapse
-//! onto the same undirected edge under [`DuplicatePolicy::Merge`].
+//! inputs are symmetrized by construction: `(u, v)` and `(v, u)` merge
+//! into one undirected edge, and self-loops are dropped.
 //!
 //! Ingestion is two-phase and never materializes an edge `Vec`:
 //!
@@ -24,7 +24,7 @@
 //!    interner, independent of how the edges arrive on disk.
 
 use crate::{DatasetError, Interner};
-use cpgan_graph::{DuplicatePolicy, Graph, NodeId, SelfLoopPolicy};
+use cpgan_graph::{Graph, NodeId};
 use std::fs::File;
 use std::io::{BufRead, BufReader, Lines};
 use std::path::{Path, PathBuf};
@@ -119,14 +119,9 @@ fn parse_line(format: Format, raw: &str) -> Result<Record<'_>, String> {
 pub struct IngestStats {
     /// Distinct node ids interned across all files.
     pub nodes: usize,
-    /// Edge records parsed (before any policy).
+    /// Edge records parsed, self-loops and duplicates included.
     pub raw_edges: usize,
-    /// Self-loop records seen in the raw input, whatever the policy did
-    /// with them.
-    pub self_loops_seen: usize,
-    /// Self-loop records the active [`SelfLoopPolicy`] actually removed
-    /// (equal to `self_loops_seen` under `Drop`; a policy that keeps or
-    /// rejects loops removes none).
+    /// Self-loop records dropped.
     pub self_loops_dropped: usize,
     /// Records merged away as duplicates or reverse duplicates:
     /// `raw_edges - self_loops_dropped - m`.
@@ -155,11 +150,7 @@ pub struct Ingested {
 /// The file order defines the interning order (and therefore the dense
 /// node numbering); keep it stable. Emits `data.ingest.*` observability
 /// counters and a parse-time histogram when collection is enabled.
-pub fn ingest_files(
-    files: &[(PathBuf, Format)],
-    loops: SelfLoopPolicy,
-    dups: DuplicatePolicy,
-) -> Result<Ingested, DatasetError> {
+pub fn ingest_files(files: &[(PathBuf, Format)]) -> Result<Ingested, DatasetError> {
     let _span = cpgan_obs::span("data.ingest");
     let watch = cpgan_obs::Stopwatch::start();
 
@@ -200,21 +191,13 @@ pub fn ingest_files(
     // Phase 2: two-pass CSR build over a re-opened stream — edges are
     // never collected into a Vec.
     let n = interner.len();
-    let graph = Graph::from_edge_stream(n, || EdgeStream::new(files, &interner), loops, dups)?;
-
-    // Loops the policy removed: all of them under `Drop`; a policy that
-    // errors on loops only reaches this point when none were seen.
-    let self_loops_dropped = match loops {
-        SelfLoopPolicy::Drop => self_loops,
-        SelfLoopPolicy::Error => 0,
-    };
+    let graph = Graph::from_edge_stream(n, || EdgeStream::new(files, &interner))?;
     let stats = IngestStats {
         nodes: n,
         raw_edges,
-        self_loops_seen: self_loops,
-        self_loops_dropped,
+        self_loops_dropped: self_loops,
         duplicates_merged: raw_edges
-            .saturating_sub(self_loops_dropped)
+            .saturating_sub(self_loops)
             .saturating_sub(graph.m()),
         parse_ns: watch.elapsed_ns(),
     };

@@ -17,15 +17,15 @@
 //!   `Graph::from_edge_stream` builder so ingestion never materializes an
 //!   in-memory edge `Vec`;
 //! * [`store`] — the local cache (`$CPGAN_DATA_DIR`), checksum-verified
-//!   fetching with a strictly offline mode backed by the vendored
-//!   surrogate fixtures, and the uniform [`store::load`] entry point;
+//!   fetching (vendored surrogate fixtures are copied in; remote files
+//!   must be placed by hand), and the uniform [`store::load`] entry point;
 //! * [`verify`] — recomputes n/m/mean-degree/Gini/PWE/CPL and diffs them
 //!   against the entry's reference values under per-stat tolerances
 //!   (`cpgan data verify`): a real-graph fidelity check for upstream
 //!   entries, an ingestion-fidelity gate for the surrogates.
 //!
-//! See DESIGN.md §15 for formats, the checksum/offline model, and the
-//! tolerance table.
+//! See DESIGN.md §15 for formats, the checksum model, and the tolerance
+//! table.
 
 pub mod error;
 pub mod formats;

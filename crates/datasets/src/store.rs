@@ -6,17 +6,17 @@
 //! turns any registry entry — real or synthetic — into a graph.
 //!
 //! This build has no network stack, so remote files are never downloaded:
-//! in offline mode they are a typed [`DatasetError::OfflineRemote`], and
-//! online they produce [`DatasetError::ManualDownload`] instructions.
-//! The vendored `citeseer-fixture`/`cora-fixture` surrogates (synthetic
-//! graphs generated in-repo — not linqs data) make the offline path
-//! fully self-contained for tests and CI; the real upstream entries
-//! require manually downloaded files.
+//! a missing one is a typed [`DatasetError::ManualDownload`] naming its
+//! source and where in the cache to put it. The vendored
+//! `citeseer-fixture`/`cora-fixture` surrogates (synthetic graphs
+//! generated in-repo — not linqs data) make tests and CI fully
+//! self-contained; the real upstream entries require manually downloaded
+//! files.
 
 use crate::registry::{DatasetEntry, Provenance, Source};
 use crate::{formats, sha256, DatasetError, IngestStats};
 use cpgan_data::datasets;
-use cpgan_graph::{DuplicatePolicy, Graph, SelfLoopPolicy};
+use cpgan_graph::Graph;
 use std::path::{Path, PathBuf};
 
 /// The on-disk dataset cache.
@@ -99,11 +99,7 @@ fn fixtures_dir() -> PathBuf {
 
 /// Ensures every file of `entry` is present in `cache` with a verified
 /// checksum. Synthetic entries need no files and return an empty list.
-pub fn fetch(
-    entry: &DatasetEntry,
-    cache: &Cache,
-    offline: bool,
-) -> Result<Vec<FetchOutcome>, DatasetError> {
+pub fn fetch(entry: &DatasetEntry, cache: &Cache) -> Result<Vec<FetchOutcome>, DatasetError> {
     let Source::Files { files } = &entry.source else {
         return Ok(Vec::new());
     };
@@ -130,13 +126,6 @@ pub fn fetch(
                     FetchAction::CopiedFixture
                 }
                 Provenance::Remote(url) => {
-                    if offline {
-                        return Err(DatasetError::OfflineRemote {
-                            dataset: entry.name.clone(),
-                            file: file.name.to_string(),
-                            url: url.to_string(),
-                        });
-                    }
                     return Err(DatasetError::ManualDownload {
                         url: url.to_string(),
                         dest: dest.display().to_string(),
@@ -172,27 +161,18 @@ fn verify_checksum(path: &Path, expected: Option<&str>) -> Result<(), DatasetErr
 pub struct LoadOptions {
     /// Cache root override (else `$CPGAN_DATA_DIR` / `./data-cache`).
     pub data_dir: Option<PathBuf>,
-    /// Refuse any source that would need the network.
-    pub offline: bool,
     /// Synthetic entries only: size divisor (1 = full scale).
     pub scale: usize,
     /// Synthetic entries only: synthesizer seed.
     pub seed: u64,
-    /// Self-loop policy for ingestion.
-    pub loops: SelfLoopPolicy,
-    /// Duplicate-edge policy for ingestion.
-    pub dups: DuplicatePolicy,
 }
 
 impl Default for LoadOptions {
     fn default() -> Self {
         LoadOptions {
             data_dir: None,
-            offline: false,
             scale: 1,
             seed: 1,
-            loops: SelfLoopPolicy::Drop,
-            dups: DuplicatePolicy::Merge,
         }
     }
 }
@@ -221,12 +201,12 @@ pub fn load(entry: &DatasetEntry, opts: &LoadOptions) -> Result<LoadedDataset, D
     match &entry.source {
         Source::Files { files } => {
             let cache = Cache::resolve(opts.data_dir.as_deref());
-            fetch(entry, &cache, opts.offline)?;
+            fetch(entry, &cache)?;
             let paths: Vec<(PathBuf, crate::Format)> = files
                 .iter()
                 .map(|f| (cache.file_path(&entry.name, f.name), f.format))
                 .collect();
-            let ingested = formats::ingest_files(&paths, opts.loops, opts.dups)?;
+            let ingested = formats::ingest_files(&paths)?;
             Ok(LoadedDataset {
                 name: entry.name.clone(),
                 title: entry.title.clone(),

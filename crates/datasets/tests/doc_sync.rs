@@ -1,5 +1,5 @@
 //! Doc-sync: DESIGN.md §15 documents the dataset registry. If the file
-//! formats, the checksum/offline model, or the tolerance table change,
+//! formats, the checksum model, or the tolerance table change,
 //! the section must move with them — these tests fail on drift,
 //! mirroring the §11/§12/§13/§14 suites.
 
@@ -27,8 +27,8 @@ fn design_section_documents_the_formats() {
         "linqs-cites",
         "linqs-content",
         "first-appearance order",
-        "DuplicatePolicy::Merge",
-        "SelfLoopPolicy::Drop",
+        "self_loops_dropped",
+        "duplicates_merged",
         "Graph::from_edge_stream",
         "data.ingest.parse_ns",
     ] {
@@ -42,7 +42,6 @@ fn design_section_documents_the_checksum_and_offline_model() {
     for item in [
         "CPGAN_DATA_DIR",
         "SHA-256",
-        "OfflineRemote",
         "ManualDownload",
         "crates/datasets/fixtures/",
         "gen_fixtures",

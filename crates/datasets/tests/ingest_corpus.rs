@@ -8,7 +8,6 @@
 #![allow(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 
 use cpgan_datasets::{ingest_files, DatasetError, Format};
-use cpgan_graph::{DuplicatePolicy, GraphError, SelfLoopPolicy};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,17 +40,8 @@ impl Drop for Scratch {
     }
 }
 
-fn ingest_one(
-    path: PathBuf,
-    format: Format,
-    loops: SelfLoopPolicy,
-    dups: DuplicatePolicy,
-) -> Result<cpgan_datasets::Ingested, DatasetError> {
-    ingest_files(&[(path, format)], loops, dups)
-}
-
 fn default_ingest(path: PathBuf, format: Format) -> Result<cpgan_datasets::Ingested, DatasetError> {
-    ingest_one(path, format, SelfLoopPolicy::Drop, DuplicatePolicy::Merge)
+    ingest_files(&[(path, format)])
 }
 
 #[test]
@@ -86,7 +76,6 @@ fn drops_and_counts_self_loops() {
     let path = tmp.file("edges.txt", "0 0\n0 1\n1 1\n");
     let ing = default_ingest(path, Format::SnapEdges).unwrap();
     assert_eq!(ing.graph.m(), 1);
-    assert_eq!(ing.stats.self_loops_seen, 2);
     assert_eq!(ing.stats.self_loops_dropped, 2);
     // Dropped loops must not be double-counted as merges.
     assert_eq!(ing.stats.duplicates_merged, 0);
@@ -103,43 +92,8 @@ fn counters_separate_dropped_loops_from_merged_duplicates() {
     let ing = default_ingest(path, Format::SnapEdges).unwrap();
     assert_eq!(ing.graph.m(), 2);
     assert_eq!(ing.stats.raw_edges, 5);
-    assert_eq!(ing.stats.self_loops_seen, 1);
     assert_eq!(ing.stats.self_loops_dropped, 1);
     assert_eq!(ing.stats.duplicates_merged, 2);
-}
-
-#[test]
-fn duplicate_policy_error_is_typed_not_a_panic() {
-    let tmp = Scratch::new("dup-err");
-    let path = tmp.file("edges.txt", "0 1\n1 0\n");
-    let err = ingest_one(
-        path,
-        Format::SnapEdges,
-        SelfLoopPolicy::Drop,
-        DuplicatePolicy::Error,
-    )
-    .unwrap_err();
-    assert!(
-        matches!(err, DatasetError::Graph(GraphError::Stream(_))),
-        "{err:?}"
-    );
-}
-
-#[test]
-fn self_loop_policy_error_is_typed_not_a_panic() {
-    let tmp = Scratch::new("loop-err");
-    let path = tmp.file("edges.txt", "0 1\n2 2\n");
-    let err = ingest_one(
-        path,
-        Format::SnapEdges,
-        SelfLoopPolicy::Error,
-        DuplicatePolicy::Merge,
-    )
-    .unwrap_err();
-    assert!(
-        matches!(err, DatasetError::Graph(GraphError::Stream(_))),
-        "{err:?}"
-    );
 }
 
 #[test]
@@ -204,12 +158,8 @@ fn cites_plus_content_interns_labels_onto_dense_ids() {
         "toy.content",
         "paperA 0 1 0 Agents\npaperC 1 0 1 ML\npaperD 0 0 0 DB\n",
     );
-    let ing = ingest_files(
-        &[(cites, Format::LinqsCites), (content, Format::LinqsContent)],
-        SelfLoopPolicy::Drop,
-        DuplicatePolicy::Merge,
-    )
-    .unwrap();
+    let ing =
+        ingest_files(&[(cites, Format::LinqsCites), (content, Format::LinqsContent)]).unwrap();
     // First-appearance interning: A=0, B=1, C=2, then D from .content.
     assert_eq!(ing.graph.n(), 4);
     assert_eq!(ing.graph.m(), 2);

@@ -1,4 +1,4 @@
-//! Registry + cache integration: fetch/checksum/offline behaviour on
+//! Registry + cache integration: fetch/checksum behaviour on
 //! temp-dir caches, the uniform load path across provenance classes, and
 //! the headline acceptance check — `verify` passes on the vendored
 //! surrogate fixtures within the recorded-reference tolerances,
@@ -35,7 +35,6 @@ impl Scratch {
     fn opts(&self) -> LoadOptions {
         LoadOptions {
             data_dir: Some(self.0.clone()),
-            offline: true,
             ..LoadOptions::default()
         }
     }
@@ -53,7 +52,7 @@ fn fetch_copies_fixture_then_reports_cached() {
     let entry = resolve("citeseer-fixture").unwrap();
     let cache = tmp.cache();
 
-    let first = fetch(entry, &cache, true).unwrap();
+    let first = fetch(entry, &cache).unwrap();
     assert_eq!(first.len(), 1);
     assert_eq!(first[0].action, FetchAction::CopiedFixture);
     assert!(cache
@@ -61,7 +60,7 @@ fn fetch_copies_fixture_then_reports_cached() {
         .is_file());
     assert_eq!(cache.scan().unwrap(), vec!["citeseer-fixture".to_string()]);
 
-    let second = fetch(entry, &cache, true).unwrap();
+    let second = fetch(entry, &cache).unwrap();
     assert_eq!(second[0].action, FetchAction::AlreadyCached);
 }
 
@@ -74,7 +73,7 @@ fn corrupted_cache_file_fails_checksum() {
     fs::create_dir_all(dest.parent().unwrap()).unwrap();
     fs::write(&dest, "0 1\n").unwrap();
 
-    let err = fetch(entry, &cache, true).unwrap_err();
+    let err = fetch(entry, &cache).unwrap_err();
     match err {
         DatasetError::ChecksumMismatch {
             expected, actual, ..
@@ -87,7 +86,7 @@ fn corrupted_cache_file_fails_checksum() {
 }
 
 #[test]
-fn remote_entries_are_typed_offline_and_online() {
+fn missing_remote_files_name_their_cache_path() {
     let tmp = Scratch::new("remote");
     let cache = tmp.cache();
 
@@ -95,16 +94,15 @@ fn remote_entries_are_typed_offline_and_online() {
     // whose vendored surrogate lives under `citeseer-fixture` instead.
     for name in ["google", "citeseer"] {
         let entry = resolve(name).unwrap();
-        let offline = fetch(entry, &cache, true).unwrap_err();
+        let err = fetch(entry, &cache).unwrap_err();
+        let DatasetError::ManualDownload { dest, .. } = &err else {
+            panic!("{name}: expected a manual-download error, got {err:?}");
+        };
         assert!(
-            matches!(&offline, DatasetError::OfflineRemote { dataset, .. } if dataset == name),
-            "{offline:?}"
+            dest.starts_with(&tmp.0.join(name).display().to_string()),
+            "{dest}"
         );
-        let online = fetch(entry, &cache, false).unwrap_err();
-        assert!(
-            matches!(online, DatasetError::ManualDownload { .. }),
-            "{online:?}"
-        );
+        assert!(err.to_string().contains(dest.as_str()), "{err}");
     }
 }
 

@@ -8,7 +8,9 @@
 //!   traditional, 6 learning-based, CPGAN + its ablation variants),
 //! * [`budget`] — the 24 GB GPU memory model that reproduces the paper's
 //!   "OOM" rows at full dataset scale,
-//! * [`pipelines`] — one module per experiment (Tables III–IX, Figures 5–6),
+//! * [`pipelines`] — one module per experiment (Tables III–IX, Figures 5–6)
+//!   and the one measurement path they share: a [`pipelines::Cell`] per
+//!   (model, graph), one admission rule, one pooled per-seed runner,
 //! * [`report`] — paper-vs-measured table rendering.
 
 pub mod budget;
@@ -60,100 +62,5 @@ impl EvalConfig {
             dense_node_cap: 600,
             ..Default::default()
         }
-    }
-
-    /// Parses `--scale`, `--seeds`, `--deep-epochs`, `--cpgan-epochs` and
-    /// `--fast` (used by every `table*`/`fig*` binary). A value flag with a
-    /// missing or non-integer value is an error naming the flag.
-    pub fn from_args(args: &[String]) -> Result<Self, String> {
-        let mut cfg = if args.iter().any(|a| a == "--fast") {
-            EvalConfig::fast()
-        } else {
-            EvalConfig::default()
-        };
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            let field = match a.as_str() {
-                "--scale" => &mut cfg.scale,
-                "--seeds" => &mut cfg.seeds,
-                "--deep-epochs" => &mut cfg.deep_epochs,
-                "--cpgan-epochs" => &mut cfg.cpgan_epochs,
-                _ => continue,
-            };
-            *field = flag_value(a, it.next())?;
-        }
-        Ok(cfg)
-    }
-}
-
-/// Parses the sweep sizes for the efficiency binaries: all of
-/// `cpgan_data::sweep::SWEEP_SIZES` up to `--max-size` (default 100k, or 1k
-/// under `--fast`). A missing or non-integer `--max-size` is an error.
-pub fn sweep_sizes_from_args(args: &[String]) -> Result<Vec<usize>, String> {
-    let max = match args.iter().position(|a| a == "--max-size") {
-        Some(i) => flag_value("--max-size", args.get(i + 1))?,
-        None if args.iter().any(|a| a == "--fast") => 1_000,
-        None => 100_000,
-    };
-    Ok(cpgan_data::sweep::SWEEP_SIZES
-        .iter()
-        .copied()
-        .filter(|&n| n <= max)
-        .collect())
-}
-
-/// The unsigned integer after `flag`, or an error naming the flag.
-fn flag_value(flag: &str, value: Option<&String>) -> Result<usize, String> {
-    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    v.parse()
-        .map_err(|_| format!("{flag} needs a non-negative integer, got '{v}'"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn arg_parsing() {
-        let cfg = EvalConfig::from_args(&strings(&["--scale", "32", "--seeds", "3"])).unwrap();
-        assert_eq!(cfg.scale, 32);
-        assert_eq!(cfg.seeds, 3);
-    }
-
-    #[test]
-    fn fast_flag() {
-        let args = strings(&["--fast"]);
-        let cfg = EvalConfig::from_args(&args).unwrap();
-        assert_eq!(cfg.seeds, 1);
-        assert_eq!(sweep_sizes_from_args(&args).unwrap(), vec![100, 1_000]);
-    }
-
-    #[test]
-    fn sweep_sizes_default_and_capped() {
-        assert_eq!(
-            sweep_sizes_from_args(&[]).unwrap(),
-            vec![100, 1_000, 10_000, 100_000]
-        );
-        let args = strings(&["--max-size", "10000"]);
-        assert_eq!(
-            sweep_sizes_from_args(&args).unwrap(),
-            vec![100, 1_000, 10_000]
-        );
-    }
-
-    #[test]
-    fn bad_flag_values_are_errors_naming_the_flag() {
-        let err = EvalConfig::from_args(&strings(&["--scale", "abc"])).unwrap_err();
-        assert!(err.contains("--scale") && err.contains("abc"), "{err}");
-        let err = EvalConfig::from_args(&strings(&["--fast", "--seeds"])).unwrap_err();
-        assert!(err.contains("--seeds"), "{err}");
-        let err = sweep_sizes_from_args(&strings(&["--max-size", "10k"])).unwrap_err();
-        assert!(err.contains("--max-size") && err.contains("10k"), "{err}");
-        let err = sweep_sizes_from_args(&strings(&["--max-size"])).unwrap_err();
-        assert!(err.contains("--max-size"), "{err}");
     }
 }

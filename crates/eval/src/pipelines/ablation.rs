@@ -1,13 +1,19 @@
 //! Table VI: ablation of CPGAN's sub-modules.
 
-use crate::pipelines::{community_scores, quality_diff};
-use crate::registry::{fit_model, ModelKind};
-use crate::report::Table;
+use crate::pipelines::community::percent_scores;
+use crate::pipelines::{measure_cell, quality_diff, standins, Cell};
+use crate::registry::ModelKind;
+use crate::report::{mean, with_paper, Table};
 use crate::{paper, EvalConfig};
 use cpgan::Variant;
 use cpgan_data::datasets;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use cpgan_graph::Graph;
+use std::sync::Arc;
+
+/// Table VI's distance between consecutive seeds of a cell.
+pub const SEED_STRIDE: u64 = 7919;
+/// Table VI's salt, XORed into each seed to seed its generate RNG.
+pub const GENERATE_SALT: u64 = 0x6666;
 
 /// Table VI's datasets.
 pub const TABLE6_DATASETS: [&str; 3] = ["PubMed", "PPI", "Facebook"];
@@ -22,85 +28,60 @@ pub fn variants() -> Vec<Variant> {
     ]
 }
 
-/// One ablation measurement: `(NMI*100, ARI*100, Deg, Clus)`.
-#[derive(Debug, Clone, Copy)]
-pub struct AblationResult {
-    /// NMI x100.
-    pub nmi: f64,
-    /// ARI x100.
-    pub ari: f64,
-    /// Degree MMD.
-    pub deg: f64,
-    /// Clustering MMD.
-    pub clus: f64,
-}
+/// One ablation run's `[NMI x100, ARI x100, Deg. MMD, Clus. MMD]`.
+pub type AblationScores = [f64; 4];
 
-/// Evaluates one variant on one dataset, averaged over `cfg.seeds` runs.
-pub fn evaluate(
+/// One (variant, stand-in) cell: the scores per seed. `n_paper` is the
+/// dataset's paper-scale node count, `graph` its stand-in.
+pub fn evaluate_cell(
     variant: Variant,
-    spec: &datasets::DatasetSpec,
+    n_paper: usize,
+    graph: &Arc<Graph>,
     cfg: &EvalConfig,
-) -> AblationResult {
-    let ds = datasets::synthesize(spec, cfg.scale, cfg.seed);
-    let mut acc = AblationResult {
-        nmi: 0.0,
-        ari: 0.0,
-        deg: 0.0,
-        clus: 0.0,
-    };
-    let runs = cfg.seeds.max(1);
-    for s in 0..runs {
-        let seed = cfg.seed.wrapping_add(s as u64 * 7919);
-        let model = fit_model(ModelKind::CpGan(variant), &ds.graph, cfg, seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x6666);
-        let generated = model.generate(&mut rng);
-        let (nmi, ari) = community_scores(&ds.graph, &generated, cfg.seed);
-        let q = quality_diff(&ds.graph, &generated, 64);
-        acc.nmi += 100.0 * nmi;
-        acc.ari += 100.0 * ari;
-        acc.deg += q.deg;
-        acc.clus += q.clus;
-    }
-    let r = runs as f64;
-    AblationResult {
-        nmi: acc.nmi / r,
-        ari: acc.ari / r,
-        deg: acc.deg / r,
-        clus: acc.clus / r,
-    }
+) -> Cell<Vec<AblationScores>> {
+    let base = cfg.seed;
+    let kind = ModelKind::CpGan(variant);
+    measure_cell(
+        kind,
+        n_paper,
+        graph,
+        cfg,
+        (SEED_STRIDE, GENERATE_SALT),
+        move |obs, gen| {
+            let (nmi, ari) = percent_scores(obs, gen, base);
+            let q = quality_diff(obs, gen, 64);
+            [nmi, ari, q.deg, q.clus]
+        },
+    )
 }
 
 /// Runs the full Table VI experiment.
 pub fn run(cfg: &EvalConfig, dataset_filter: &[&str]) -> Table {
-    let datasets_used: Vec<&str> = TABLE6_DATASETS
-        .iter()
-        .copied()
-        .filter(|d| dataset_filter.is_empty() || dataset_filter.contains(d))
-        .collect();
+    let names = TABLE6_DATASETS.iter();
+    let used = names.filter(|d| dataset_filter.is_empty() || dataset_filter.contains(d));
+    let standins = standins(used.filter_map(|d| datasets::spec_by_name(d)), cfg);
     let mut table = Table::new(
         format!("Table VI: CPGAN ablation (scale 1/{})", cfg.scale),
         &["Variant"],
     );
-    for d in &datasets_used {
+    for (spec, _) in &standins {
         for metric in ["NMI", "ARI", "Deg.", "Clus."] {
-            table.headers.push(format!("{d} {metric}"));
+            table.headers.push(format!("{} {metric}", spec.name));
         }
     }
     for variant in variants() {
         let mut row = vec![variant.label().to_string()];
-        for d in &datasets_used {
-            let Some(spec) = datasets::spec_by_name(d) else {
-                continue;
-            };
-            let r = evaluate(variant, spec, cfg);
-            let paper_row = paper::table6_ref(d, variant.label());
-            let vals = [r.nmi, r.ari, r.deg, r.clus];
-            for (i, v) in vals.iter().enumerate() {
-                match paper_row {
-                    Some(p) => row.push(format!("{v:.3} ({:.3})", p[i])),
-                    None => row.push(format!("{v:.3}")),
-                }
-            }
+        for (spec, graph) in &standins {
+            let paper_row = paper::table6_ref(spec.name, variant.label());
+            let cell = evaluate_cell(variant, spec.n, graph, cfg);
+            row.extend(cell.columns(4, |runs| {
+                (0..4)
+                    .map(|i| {
+                        let v = mean(&runs.iter().map(|r| r[i]).collect::<Vec<_>>());
+                        with_paper(format!("{v:.3}"), paper_row.map(|p| format!("{:.3}", p[i])))
+                    })
+                    .collect()
+            }));
         }
         table.push_row(row);
     }
@@ -120,10 +101,13 @@ mod tests {
             ..EvalConfig::fast()
         };
         let spec = datasets::spec_by_name("PPI").unwrap();
+        let graph = Arc::new(datasets::synthesize(spec, cfg.scale, cfg.seed).graph);
         for v in variants() {
-            let r = evaluate(v, spec, &cfg);
-            assert!(r.nmi.is_finite());
-            assert!(r.deg.is_finite() && r.deg >= 0.0);
+            let Cell::Measured(runs) = evaluate_cell(v, spec.n, &graph, &cfg) else {
+                panic!("{v:?} must be measured on PPI");
+            };
+            assert!(runs[0][0].is_finite());
+            assert!(runs[0][2].is_finite() && runs[0][2] >= 0.0);
         }
     }
 }

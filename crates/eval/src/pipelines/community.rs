@@ -1,23 +1,19 @@
 //! Table III: community-structure preservation (NMI / ARI).
 
-use crate::pipelines::community_scores;
-use crate::registry::{fit_model, ModelKind};
-use crate::report::{mean_std, Table};
-use crate::{budget, paper, EvalConfig};
+use crate::pipelines::{community_scores, measure_cell, standins, Cell};
+use crate::registry::ModelKind;
+use crate::report::{mean_std, with_paper, Table};
+use crate::{paper, EvalConfig};
 use cpgan_data::datasets;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use cpgan_graph::Graph;
+use std::sync::Arc;
 
-/// One measured cell of Table III.
-#[derive(Debug, Clone)]
-pub enum Cell {
-    /// Mean ± std over seeds, `(nmi_values, ari_values)` in percent.
-    Measured(Vec<f64>, Vec<f64>),
-    /// Exceeds the paper-scale 24 GB budget.
-    Oom,
-    /// Within budget at paper scale but too large for the local CPU cap.
-    SkippedCpu,
-}
+/// Table III's distance between consecutive seeds of a cell (shared by the
+/// ingested-graph table).
+pub const SEED_STRIDE: u64 = 7919;
+/// Table III's salt, XORed into each seed to seed its generate RNG (shared
+/// by the ingested-graph table).
+pub const GENERATE_SALT: u64 = 0x9999;
 
 /// Runs the Table III experiment for the given dataset names (empty = all
 /// six).
@@ -29,45 +25,32 @@ pub fn run(cfg: &EvalConfig, dataset_filter: &[&str]) -> Table {
         ),
         &["Model"],
     );
-    let specs: Vec<_> = datasets::PAPER_DATASETS
-        .iter()
-        .filter(|s| dataset_filter.is_empty() || dataset_filter.contains(&s.name))
-        .collect();
-    for spec in &specs {
+    let specs = datasets::PAPER_DATASETS.iter();
+    let standins = standins(
+        specs.filter(|s| dataset_filter.is_empty() || dataset_filter.contains(&s.name)),
+        cfg,
+    );
+    for (spec, _) in &standins {
         table.headers.push(format!("{} NMI", spec.name));
         table.headers.push(format!("{} ARI", spec.name));
     }
-
-    let models = ModelKind::table3();
-    for kind in &models {
+    for kind in ModelKind::table3() {
         let mut row = vec![kind.name().to_string()];
-        for spec in &specs {
-            let cell = evaluate_cell(*kind, spec, cfg);
+        for (spec, graph) in &standins {
+            let cell = evaluate_cell(kind, spec.n, graph, cfg);
             let paper_ref = paper::table3_ref(spec.name, kind.name());
-            match cell {
-                Cell::Oom | Cell::SkippedCpu => {
-                    let label = if matches!(cell, Cell::Oom) {
-                        "OOM"
-                    } else {
-                        "skip"
+            row.extend(match (cell.label(), paper_ref) {
+                (Some(label), None) => vec![format!("{label} (paper OOM)"); 2],
+                _ => cell.columns(2, |runs| {
+                    let fmt = |vals: Vec<f64>, p: Option<f64>| {
+                        with_paper(mean_std(&vals), p.map(|p| format!("paper {p:.1}")))
                     };
-                    let agree = if paper_ref.is_none() {
-                        " (paper OOM)"
-                    } else {
-                        ""
-                    };
-                    row.push(format!("{label}{agree}"));
-                    row.push(format!("{label}{agree}"));
-                }
-                Cell::Measured(nmis, aris) => {
-                    let fmt = |vals: &[f64], p: Option<f64>| match p {
-                        Some(p) => format!("{} (paper {p:.1})", mean_std(vals)),
-                        None => mean_std(vals),
-                    };
-                    row.push(fmt(&nmis, paper_ref.map(|r| r.0)));
-                    row.push(fmt(&aris, paper_ref.map(|r| r.1)));
-                }
-            }
+                    vec![
+                        fmt(runs.iter().map(|r| r.0).collect(), paper_ref.map(|r| r.0)),
+                        fmt(runs.iter().map(|r| r.1).collect(), paper_ref.map(|r| r.1)),
+                    ]
+                }),
+            });
         }
         table.push_row(row);
     }
@@ -78,52 +61,56 @@ pub fn run(cfg: &EvalConfig, dataset_filter: &[&str]) -> Table {
     table
 }
 
-/// Evaluates one (model, dataset) cell.
-pub fn evaluate_cell(kind: ModelKind, spec: &datasets::DatasetSpec, cfg: &EvalConfig) -> Cell {
-    let _span = cpgan_obs::span("eval.community.cell");
-    cpgan_obs::counter_add("eval.community.cells", 1);
-    if budget::would_oom(kind, spec.n) {
-        return Cell::Oom;
-    }
-    let ds = datasets::synthesize(spec, cfg.scale, cfg.seed);
-    if kind.is_dense() && ds.graph.n() > cfg.dense_node_cap {
-        return Cell::SkippedCpu;
-    }
-    let mut nmis = Vec::with_capacity(cfg.seeds);
-    let mut aris = Vec::with_capacity(cfg.seeds);
-    for s in 0..cfg.seeds {
-        let seed = cfg.seed.wrapping_add(s as u64 * 7919);
-        let model = fit_model(kind, &ds.graph, cfg, seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x9999);
-        let generated = model.generate(&mut rng);
-        let (nmi, ari) = community_scores(&ds.graph, &generated, cfg.seed);
-        nmis.push(100.0 * nmi);
-        aris.push(100.0 * ari);
-    }
-    Cell::Measured(nmis, aris)
+/// `(NMI, ARI)` x100 of `generated` against `observed`, with Louvain
+/// seeded by the run's base `seed`.
+pub fn percent_scores(observed: &Graph, generated: &Graph, seed: u64) -> (f64, f64) {
+    let (nmi, ari) = community_scores(observed, generated, seed);
+    (100.0 * nmi, 100.0 * ari)
+}
+
+/// One (model, stand-in) cell: `(NMI, ARI)` x100 per seed. `n_paper` is the
+/// dataset's paper-scale node count, `graph` its stand-in.
+pub fn evaluate_cell(
+    kind: ModelKind,
+    n_paper: usize,
+    graph: &Arc<Graph>,
+    cfg: &EvalConfig,
+) -> Cell<Vec<(f64, f64)>> {
+    let base = cfg.seed;
+    measure_cell(
+        kind,
+        n_paper,
+        graph,
+        cfg,
+        (SEED_STRIDE, GENERATE_SALT),
+        move |obs, gen| percent_scores(obs, gen, base),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn standin(name: &str, cfg: &EvalConfig) -> (usize, Arc<Graph>) {
+        let spec = datasets::spec_by_name(name).unwrap();
+        let graph = datasets::synthesize(spec, cfg.scale, cfg.seed).graph;
+        (spec.n, Arc::new(graph))
+    }
+
     #[test]
     fn oom_cells_match_paper() {
         let cfg = EvalConfig::fast();
-        let pubmed = datasets::spec_by_name("PubMed").unwrap();
-        assert!(matches!(
-            evaluate_cell(ModelKind::Mmsb, pubmed, &cfg),
+        let (n, pubmed) = standin("PubMed", &cfg);
+        assert_eq!(evaluate_cell(ModelKind::Mmsb, n, &pubmed, &cfg), Cell::Oom);
+        assert_eq!(
+            evaluate_cell(ModelKind::NetGan, n, &pubmed, &cfg),
             Cell::Oom
-        ));
-        assert!(matches!(
-            evaluate_cell(ModelKind::NetGan, pubmed, &cfg),
+        );
+        // Google's paper size alone decides: the PubMed stand-in suffices.
+        assert_eq!(
+            evaluate_cell(ModelKind::Vgae, 875_713, &pubmed, &cfg),
             Cell::Oom
-        ));
-        let google = datasets::spec_by_name("Google").unwrap();
-        assert!(matches!(
-            evaluate_cell(ModelKind::Vgae, google, &cfg),
-            Cell::Oom
-        ));
+        );
     }
 
     #[test]
@@ -135,12 +122,12 @@ mod tests {
             cpgan_epochs: 3,
             ..EvalConfig::fast()
         };
-        let ppi = datasets::spec_by_name("PPI").unwrap();
-        match evaluate_cell(ModelKind::Sbm, ppi, &cfg) {
-            Cell::Measured(nmis, aris) => {
-                assert_eq!(nmis.len(), 1);
-                assert!((0.0..=100.0).contains(&nmis[0]));
-                assert!((-100.0..=100.0).contains(&aris[0]));
+        let (n, ppi) = standin("PPI", &cfg);
+        match evaluate_cell(ModelKind::Sbm, n, &ppi, &cfg) {
+            Cell::Measured(runs) => {
+                assert_eq!(runs.len(), 1);
+                assert!((0.0..=100.0).contains(&runs[0].0));
+                assert!((-100.0..=100.0).contains(&runs[0].1));
             }
             other => panic!("expected measurement, got {other:?}"),
         }

@@ -7,9 +7,10 @@
 //! budget (epoch cost is constant per model/size), which the tables mark
 //! explicitly.
 
-use crate::registry::{fit_model, ModelKind};
-use crate::report::Table;
-use crate::{budget, paper, EvalConfig};
+use crate::pipelines::{admit, Cell};
+use crate::registry::{cpgan_config, deep_config, fit_model, ModelKind};
+use crate::report::{with_paper, Table};
+use crate::{paper, EvalConfig};
 use cpgan_data::sweep;
 use cpgan_nn::memory;
 use cpgan_obs::Stopwatch;
@@ -28,42 +29,25 @@ pub struct SweepMeasurement {
     pub peak_mib: f64,
 }
 
-/// Result of one sweep cell.
-#[derive(Debug, Clone, Copy)]
-pub enum Cell {
-    /// Measured locally.
-    Measured(SweepMeasurement),
-    /// Paper-scale OOM.
-    Oom,
-    /// Skipped for local CPU time.
-    SkippedCpu,
-}
-
 /// Epochs actually run when measuring deep-model training throughput.
 const MEASURE_EPOCHS: usize = 2;
 
-/// Whether a model is too slow to run locally at `n` (CPU guard distinct
-/// from the memory budget).
-fn locally_infeasible(kind: ModelKind, n: usize, cfg: &EvalConfig) -> bool {
-    match kind {
-        // Dense-matrix models: n^2 tensors; cap at ~10k locally.
-        k if k.is_dense() => n > 10_000.max(cfg.dense_node_cap),
-        // GraphRNN-S: sequential tape; 10k steps is fine, beyond is not.
-        ModelKind::GraphRnnS => n > 10_000,
-        _ => false,
-    }
+/// Whether `kind` runs at sweep size `n`. The local cap is
+/// `max(10_000, dense_node_cap)`: dense models run up to 10k nodes, and
+/// GraphRNN-S, whose 4x cap lies past 10k, is already OOM at 100k.
+pub fn admission(kind: ModelKind, n: usize, cfg: &EvalConfig) -> Cell<()> {
+    admit(kind, n, n, cfg.dense_node_cap.max(10_000))
 }
 
-/// Measures one (model, size) sweep cell.
-pub fn evaluate_cell(kind: ModelKind, n: usize, cfg: &EvalConfig) -> Cell {
+/// Measures one (model, size) sweep cell, serially: it times the run and
+/// reads the peak tensor memory, which concurrent work would corrupt.
+pub fn evaluate_cell(kind: ModelKind, n: usize, cfg: &EvalConfig) -> Cell<SweepMeasurement> {
     let _span = cpgan_obs::span("eval.efficiency.cell");
     cpgan_obs::counter_add("eval.efficiency.cells", 1);
-    if budget::would_oom(kind, n) {
-        return Cell::Oom;
-    }
-    if locally_infeasible(kind, n, cfg) {
-        return Cell::SkippedCpu;
-    }
+    admission(kind, n, cfg).map(|()| measure(kind, n, cfg))
+}
+
+fn measure(kind: ModelKind, n: usize, cfg: &EvalConfig) -> SweepMeasurement {
     let pg = sweep::sweep_graph(n, cfg.seed);
     // Training: run a reduced-epoch fit for deep models and extrapolate.
     let (measure_cfg, extrapolation) = if kind.is_learning_based() {
@@ -80,10 +64,12 @@ pub fn evaluate_cell(kind: ModelKind, n: usize, cfg: &EvalConfig) -> Cell {
     } else {
         (cfg.clone(), 1.0)
     };
+    let cpgan = cpgan_config(&pg.graph, &measure_cfg, cfg.seed);
+    let deep = deep_config(&measure_cfg, cfg.seed);
     memory::reset_peak();
     let live_before = memory::live_bytes();
     let t0 = Stopwatch::start();
-    let model = fit_model(kind, &pg.graph, &measure_cfg, cfg.seed);
+    let model = fit_model(kind, &pg.graph, &cpgan, &deep);
     let train_secs = t0.elapsed_secs() * extrapolation;
     let peak = memory::peak_bytes().saturating_sub(live_before);
 
@@ -94,11 +80,11 @@ pub fn evaluate_cell(kind: ModelKind, n: usize, cfg: &EvalConfig) -> Cell {
     let generation_secs = t1.elapsed_secs();
     debug_assert_eq!(out.n(), n);
 
-    Cell::Measured(SweepMeasurement {
+    SweepMeasurement {
         generation_secs,
         training_mins: train_secs / 60.0,
         peak_mib: peak as f64 / (1024.0 * 1024.0),
-    })
+    }
 }
 
 /// Runs the sweep once and renders all three tables.
@@ -135,30 +121,16 @@ pub fn run(cfg: &EvalConfig, sizes: &[usize]) -> SweepTables {
         for &n in sizes {
             let cell = evaluate_cell(kind, n, cfg);
             let idx = size_idx(n);
-            let fmt = |measured: f64, table: &[paper::SweepRow]| -> String {
+            let fmt = |measured: f64, table: &[paper::SweepRow]| {
                 let p = idx.and_then(|i| paper::sweep_ref(table, kind.name(), i));
-                match p {
-                    Some(p) => format!("{measured:.3} ({p})"),
-                    None => format!("{measured:.3}"),
-                }
+                with_paper(format!("{measured:.3}"), p)
             };
-            match cell {
-                Cell::Oom => {
-                    for row in [&mut g_row, &mut t_row, &mut m_row] {
-                        row.push("OOM".into());
-                    }
-                }
-                Cell::SkippedCpu => {
-                    for row in [&mut g_row, &mut t_row, &mut m_row] {
-                        row.push("skip".into());
-                    }
-                }
-                Cell::Measured(m) => {
-                    g_row.push(fmt(m.generation_secs, paper::TABLE7));
-                    t_row.push(fmt(m.training_mins, paper::TABLE8));
-                    m_row.push(fmt(m.peak_mib, paper::TABLE9));
-                }
-            }
+            let cols = |table, value: fn(&SweepMeasurement) -> f64| {
+                cell.columns(1, |m| vec![fmt(value(m), table)])
+            };
+            g_row.extend(cols(paper::TABLE7, |m| m.generation_secs));
+            t_row.extend(cols(paper::TABLE8, |m| m.training_mins));
+            m_row.extend(cols(paper::TABLE9, |m| m.peak_mib));
         }
         generation.push_row(g_row);
         training.push_row(t_row);
@@ -200,6 +172,10 @@ mod tests {
         ));
         assert!(matches!(
             evaluate_cell(ModelKind::CondGenR, 10_000, &cfg),
+            Cell::Oom
+        ));
+        assert!(matches!(
+            evaluate_cell(ModelKind::GraphRnnS, 100_000, &cfg),
             Cell::Oom
         ));
     }

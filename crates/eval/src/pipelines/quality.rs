@@ -1,80 +1,47 @@
 //! Table IV: generative distribution distance (Deg/Clus/CPL/GINI/PWE).
 
-use crate::pipelines::{quality_diff, QualityDiff};
-use crate::registry::{fit_model, ModelKind};
-use crate::report::{mean, Table};
-use crate::{budget, paper, EvalConfig};
+use crate::pipelines::{mean_columns, measure_cell, quality_diff, standins, Cell, QualityDiff};
+use crate::registry::ModelKind;
+use crate::report::{with_paper, Table};
+use crate::{paper, EvalConfig};
 use cpgan_data::datasets;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use cpgan_graph::Graph;
+use std::sync::Arc;
 
 /// BFS-source cap for CPL estimates (deterministic evenly spaced sample).
 const CPL_SOURCES: usize = 64;
 
+/// Table IV's distance between consecutive seeds of a cell.
+pub const SEED_STRIDE: u64 = 104_729;
+/// Table IV's salt, XORed into each seed to seed its generate RNG.
+pub const GENERATE_SALT: u64 = 0x4444;
+
 /// Table IV's dataset columns.
 pub const TABLE4_DATASETS: [&str; 3] = ["Citeseer", "3D Point Cloud", "Google"];
 
-/// One measured cell.
-#[derive(Debug, Clone)]
-pub enum Cell {
-    /// Mean quality differences over seeds.
-    Measured(QualityDiff),
-    /// Exceeds the paper-scale budget.
-    Oom,
-    /// Locally skipped for CPU time.
-    SkippedCpu,
-}
-
-/// Evaluates one (model, dataset) cell.
-pub fn evaluate_cell(kind: ModelKind, spec: &datasets::DatasetSpec, cfg: &EvalConfig) -> Cell {
-    let _span = cpgan_obs::span("eval.quality.cell");
-    cpgan_obs::counter_add("eval.quality.cells", 1);
-    if budget::would_oom(kind, spec.n) {
-        return Cell::Oom;
-    }
-    let ds = datasets::synthesize(spec, cfg.scale, cfg.seed);
-    if kind.is_dense() && ds.graph.n() > cfg.dense_node_cap {
-        return Cell::SkippedCpu;
-    }
-    // GraphRNN-S is sequential: cap it at 4x the dense cap locally.
-    if kind == ModelKind::GraphRnnS && ds.graph.n() > 4 * cfg.dense_node_cap {
-        return Cell::SkippedCpu;
-    }
-    // Each seed's fit+generate+measure run is independent and owns its RNG,
-    // so the repetitions fan out across the persistent pool; results come
-    // back in seed order, so the mean below is thread-count independent.
-    let seeds: Vec<u64> = (0..cfg.seeds)
-        .map(|s| cfg.seed.wrapping_add(s as u64 * 104_729))
-        .collect();
-    let graph = std::sync::Arc::new(ds.graph);
-    let cfg_owned = cfg.clone();
-    let acc: Vec<QualityDiff> =
-        cpgan_parallel::Pool::global().par_map_owned(seeds, move |_, seed| {
-            // Pool jobs run under a root span scope (see cpgan-parallel), so
-            // this path is `eval.quality.seed/...` at every thread count.
-            let _span = cpgan_obs::span("eval.quality.seed");
-            let model = fit_model(kind, &graph, &cfg_owned, seed);
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x4444);
-            let generated = model.generate(&mut rng);
-            quality_diff(&graph, &generated, CPL_SOURCES)
-        });
-    let collect = |f: fn(&QualityDiff) -> f64| mean(&acc.iter().map(f).collect::<Vec<_>>());
-    Cell::Measured(QualityDiff {
-        deg: collect(|q| q.deg),
-        clus: collect(|q| q.clus),
-        cpl: collect(|q| q.cpl),
-        gini: collect(|q| q.gini),
-        pwe: collect(|q| q.pwe),
-    })
+/// One (model, stand-in) cell: the quality differences per seed. `n_paper`
+/// is the dataset's paper-scale node count, `graph` its stand-in.
+pub fn evaluate_cell(
+    kind: ModelKind,
+    n_paper: usize,
+    graph: &Arc<Graph>,
+    cfg: &EvalConfig,
+) -> Cell<Vec<QualityDiff>> {
+    measure_cell(
+        kind,
+        n_paper,
+        graph,
+        cfg,
+        (SEED_STRIDE, GENERATE_SALT),
+        |obs, gen| quality_diff(obs, gen, CPL_SOURCES),
+    )
 }
 
 /// Runs the full Table IV experiment.
 pub fn run(cfg: &EvalConfig, dataset_filter: &[&str]) -> Table {
-    let datasets_used: Vec<&str> = TABLE4_DATASETS
-        .iter()
-        .copied()
-        .filter(|d| dataset_filter.is_empty() || dataset_filter.contains(d))
-        .collect();
+    let names = TABLE4_DATASETS.iter();
+    let used = names.filter(|d| dataset_filter.is_empty() || dataset_filter.contains(d));
+    let standins = standins(used.filter_map(|d| datasets::spec_by_name(d)), cfg);
     let mut table = Table::new(
         format!(
             "Table IV: generation quality, |difference| vs observed (scale 1/{}, lower better)",
@@ -82,40 +49,27 @@ pub fn run(cfg: &EvalConfig, dataset_filter: &[&str]) -> Table {
         ),
         &["Model"],
     );
-    for d in &datasets_used {
+    for (spec, _) in &standins {
         for metric in ["Deg.", "Clus.", "CPL", "GINI", "PWE"] {
-            table.headers.push(format!("{d} {metric}"));
+            table.headers.push(format!("{} {metric}", spec.name));
         }
     }
     for kind in ModelKind::table4() {
         let mut row = vec![kind.name().to_string()];
-        for d in &datasets_used {
-            let Some(spec) = datasets::spec_by_name(d) else {
-                continue;
-            };
-            let cell = evaluate_cell(kind, spec, cfg);
-            let paper_row = paper::table4_ref(d, kind.name());
-            match cell {
-                Cell::Oom | Cell::SkippedCpu => {
-                    let label = if matches!(cell, Cell::Oom) {
-                        "OOM"
-                    } else {
-                        "skip"
-                    };
-                    for _ in 0..5 {
-                        row.push(label.to_string());
-                    }
-                }
-                Cell::Measured(q) => {
-                    let vals = [q.deg, q.clus, q.cpl, q.gini, q.pwe];
-                    for (i, v) in vals.iter().enumerate() {
-                        match paper_row {
-                            Some(p) => row.push(format!("{v:.3} ({:.3})", p[i])),
-                            None => row.push(format!("{v:.3}")),
-                        }
-                    }
-                }
-            }
+        for (spec, graph) in &standins {
+            let paper_row = paper::table4_ref(spec.name, kind.name());
+            let cell = evaluate_cell(kind, spec.n, graph, cfg);
+            row.extend(cell.columns(5, |diffs| {
+                let means = mean_columns(diffs);
+                (0..5)
+                    .map(|i| {
+                        with_paper(
+                            format!("{:.3}", means[i]),
+                            paper_row.map(|p| format!("{:.3}", p[i])),
+                        )
+                    })
+                    .collect()
+            }));
         }
         table.push_row(row);
     }
@@ -135,10 +89,12 @@ mod tests {
             ..EvalConfig::fast()
         };
         let spec = datasets::spec_by_name("Citeseer").unwrap();
-        match evaluate_cell(ModelKind::Bter, spec, &cfg) {
-            Cell::Measured(q) => {
-                assert!(q.deg.is_finite() && q.deg >= 0.0);
-                assert!(q.cpl.is_finite());
+        let graph = Arc::new(datasets::synthesize(spec, cfg.scale, cfg.seed).graph);
+        match evaluate_cell(ModelKind::Bter, spec.n, &graph, &cfg) {
+            Cell::Measured(diffs) => {
+                assert_eq!(diffs.len(), 1);
+                assert!(diffs[0].deg.is_finite() && diffs[0].deg >= 0.0);
+                assert!(diffs[0].cpl.is_finite());
             }
             other => panic!("expected measurement, got {other:?}"),
         }
@@ -147,14 +103,11 @@ mod tests {
     #[test]
     fn google_dense_models_oom() {
         let cfg = EvalConfig::fast();
-        let spec = datasets::spec_by_name("Google").unwrap();
-        assert!(matches!(
-            evaluate_cell(ModelKind::Vgae, spec, &cfg),
-            Cell::Oom
-        ));
-        assert!(matches!(
-            evaluate_cell(ModelKind::GraphRnnS, spec, &cfg),
-            Cell::Oom
-        ));
+        let google = datasets::spec_by_name("Google").unwrap();
+        // The paper-scale size decides before any local graph is read.
+        let tiny = Arc::new(Graph::from_edges(2, [(0, 1)]).unwrap());
+        for kind in [ModelKind::Vgae, ModelKind::GraphRnnS] {
+            assert_eq!(evaluate_cell(kind, google.n, &tiny, &cfg), Cell::Oom);
+        }
     }
 }

@@ -8,76 +8,53 @@
 //! entry title (which names the surrogate status) so results cannot be
 //! read as real-graph numbers. Ingested graphs are evaluated at full
 //! scale (there is no synthesizer to shrink them), so the per-model
-//! guards mirror the synthetic pipelines: the paper-scale memory budget
-//! decides OOM rows, and the local dense node cap skips models that
-//! materialize `n x n` state on CPU.
+//! cells go through the same admission rule as the synthetic tables
+//! ([`crate::pipelines::admit`]), with the graph's own size standing in
+//! for the paper-scale one.
 
-use crate::pipelines::{community_scores, quality_diff, QualityDiff};
-use crate::registry::{fit_model, ModelKind};
-use crate::report::{mean, mean_std, Table};
-use crate::{budget, paper, EvalConfig};
+use crate::pipelines::community::{self, percent_scores};
+use crate::pipelines::{mean_columns, measure_cell, quality_diff, Cell, QualityDiff};
+use crate::registry::ModelKind;
+use crate::report::{mean_std, with_paper, Table};
+use crate::{paper, EvalConfig};
 use cpgan_datasets::{DatasetError, LoadOptions, VerifyReport, DEFAULT_CPL_SOURCES};
 use cpgan_graph::Graph;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::sync::Arc;
 
 /// BFS-source cap for CPL estimates (deterministic evenly spaced sample).
 const CPL_SOURCES: usize = 64;
 
-/// One measured (model, real graph) cell.
-#[derive(Debug, Clone)]
-pub enum Cell {
-    /// Per-seed NMI/ARI (x100) and quality differences.
-    Measured {
-        /// NMI per seed, in percent.
-        nmis: Vec<f64>,
-        /// ARI per seed, in percent.
-        aris: Vec<f64>,
-        /// Quality differences per seed.
-        diffs: Vec<QualityDiff>,
-    },
-    /// Exceeds the paper-scale 24 GB budget at this graph's size.
-    Oom,
-    /// Within budget but too large for the local CPU dense-node cap.
-    SkippedCpu,
-}
+/// One seed's scores on the ingested graph: NMI x100, ARI x100 and the
+/// quality differences.
+pub type RealScores = (f64, f64, QualityDiff);
 
-/// Evaluates one model on the observed real graph.
-pub fn evaluate_cell(kind: ModelKind, observed: &Graph, cfg: &EvalConfig) -> Cell {
-    let _span = cpgan_obs::span("eval.real.cell");
-    cpgan_obs::counter_add("eval.real.cells", 1);
-    if budget::would_oom(kind, observed.n()) {
-        return Cell::Oom;
-    }
-    if kind.is_dense() && observed.n() > cfg.dense_node_cap {
-        return Cell::SkippedCpu;
-    }
-    // GraphRNN-S is sequential: cap it at 4x the dense cap locally (same
-    // guard as the Table IV pipeline).
-    if kind == ModelKind::GraphRnnS && observed.n() > 4 * cfg.dense_node_cap {
-        return Cell::SkippedCpu;
-    }
-    let mut nmis = Vec::with_capacity(cfg.seeds);
-    let mut aris = Vec::with_capacity(cfg.seeds);
-    let mut diffs = Vec::with_capacity(cfg.seeds);
-    for s in 0..cfg.seeds {
-        let seed = cfg.seed.wrapping_add(s as u64 * 7919);
-        let model = fit_model(kind, observed, cfg, seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x9999);
-        let generated = model.generate(&mut rng);
-        let (nmi, ari) = community_scores(observed, &generated, cfg.seed);
-        nmis.push(100.0 * nmi);
-        aris.push(100.0 * ari);
-        diffs.push(quality_diff(observed, &generated, CPL_SOURCES));
-    }
-    Cell::Measured { nmis, aris, diffs }
+/// Evaluates one model on the observed real graph, with Table III's seed
+/// schedule.
+pub fn evaluate_cell(
+    kind: ModelKind,
+    observed: &Arc<Graph>,
+    cfg: &EvalConfig,
+) -> Cell<Vec<RealScores>> {
+    let base = cfg.seed;
+    measure_cell(
+        kind,
+        observed.n(),
+        observed,
+        cfg,
+        (community::SEED_STRIDE, community::GENERATE_SALT),
+        move |obs, gen| {
+            let (nmi, ari) = percent_scores(obs, gen, base);
+            (nmi, ari, quality_diff(obs, gen, CPL_SOURCES))
+        },
+    )
 }
 
 /// Runs every generator over an already-loaded graph. `title` is the
 /// registry display name; paper Table III/IV reference columns appear
 /// only when it matches a paper dataset name exactly (surrogate titles
 /// deliberately do not, so surrogate rows carry no paper comparisons).
-pub fn run_on_graph(cfg: &EvalConfig, title: &str, observed: &Graph) -> Table {
+pub fn run_on_graph(cfg: &EvalConfig, title: &str, observed: Graph) -> Table {
+    let observed = Arc::new(observed);
     let mut table = Table::new(
         format!(
             "Ingested-graph evaluation: {title} (n={}, m={}, full scale, {} seed(s))",
@@ -89,37 +66,25 @@ pub fn run_on_graph(cfg: &EvalConfig, title: &str, observed: &Graph) -> Table {
     );
     for kind in ModelKind::sweep() {
         let mut row = vec![kind.name().to_string()];
-        match evaluate_cell(kind, observed, cfg) {
-            cell @ (Cell::Oom | Cell::SkippedCpu) => {
-                let label = if matches!(cell, Cell::Oom) {
-                    "OOM"
-                } else {
-                    "skip"
-                };
-                for _ in 0..7 {
-                    row.push(label.to_string());
-                }
-            }
-            Cell::Measured { nmis, aris, diffs } => {
-                let t3 = paper::table3_ref(title, kind.name());
-                let fmt = |vals: &[f64], p: Option<f64>| match p {
-                    Some(p) => format!("{} (paper {p:.1})", mean_std(vals)),
-                    None => mean_std(vals),
-                };
-                row.push(fmt(&nmis, t3.map(|r| r.0)));
-                row.push(fmt(&aris, t3.map(|r| r.1)));
-                let t4 = paper::table4_ref(title, kind.name());
-                let cols: [fn(&QualityDiff) -> f64; 5] =
-                    [|q| q.deg, |q| q.clus, |q| q.cpl, |q| q.gini, |q| q.pwe];
-                for (i, f) in cols.iter().enumerate() {
-                    let v = mean(&diffs.iter().map(f).collect::<Vec<_>>());
-                    match t4 {
-                        Some(p) => row.push(format!("{v:.3} (paper {:.3})", p[i])),
-                        None => row.push(format!("{v:.3}")),
-                    }
-                }
-            }
-        }
+        let t3 = paper::table3_ref(title, kind.name());
+        let t4 = paper::table4_ref(title, kind.name());
+        row.extend(evaluate_cell(kind, &observed, cfg).columns(7, |runs| {
+            let fmt = |vals: Vec<f64>, p: Option<f64>| {
+                with_paper(mean_std(&vals), p.map(|p| format!("paper {p:.1}")))
+            };
+            let mut cols = vec![
+                fmt(runs.iter().map(|r| r.0).collect(), t3.map(|r| r.0)),
+                fmt(runs.iter().map(|r| r.1).collect(), t3.map(|r| r.1)),
+            ];
+            let means = mean_columns(&runs.iter().map(|r| r.2).collect::<Vec<_>>());
+            cols.extend((0..5).map(|i| {
+                with_paper(
+                    format!("{:.3}", means[i]),
+                    t4.map(|p| format!("paper {:.3}", p[i])),
+                )
+            }));
+            cols
+        }));
         table.push_row(row);
     }
     table.push_note(
@@ -145,30 +110,14 @@ pub fn run(
     let entry = cpgan_datasets::resolve(name)?;
     let ds = cpgan_datasets::load(entry, opts)?;
     let report = cpgan_datasets::verify(entry, &ds.graph, DEFAULT_CPL_SOURCES);
-    let table = run_on_graph(cfg, &ds.title, &ds.graph);
+    let table = run_on_graph(cfg, &ds.title, ds.graph);
     Ok((report, table))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpgan_graph::Graph;
-
-    fn small_graph() -> Graph {
-        let mut edges = Vec::new();
-        for c in 0..3u32 {
-            let base = c * 10;
-            for a in 0..10u32 {
-                for b in (a + 1)..10 {
-                    if (a + b) % 2 == 0 {
-                        edges.push((base + a, base + b));
-                    }
-                }
-            }
-            edges.push((base, (base + 10) % 30));
-        }
-        Graph::from_edges(30, edges).unwrap()
-    }
+    use crate::registry::tests::small_graph;
 
     #[test]
     fn measures_every_model_on_a_tiny_graph() {
@@ -179,7 +128,7 @@ mod tests {
             cpgan_epochs: 3,
             ..EvalConfig::fast()
         };
-        let table = run_on_graph(&cfg, "Tiny", &g);
+        let table = run_on_graph(&cfg, "Tiny", g);
         assert_eq!(table.rows.len(), ModelKind::sweep().len());
         for row in &table.rows {
             assert_eq!(row.len(), 8, "{row:?}");
@@ -189,15 +138,12 @@ mod tests {
 
     #[test]
     fn dense_models_skip_above_the_cap() {
-        let g = small_graph();
+        let g = Arc::new(small_graph());
         let cfg = EvalConfig {
             dense_node_cap: 8,
             ..EvalConfig::fast()
         };
-        assert!(matches!(
-            evaluate_cell(ModelKind::Vgae, &g, &cfg),
-            Cell::SkippedCpu
-        ));
+        assert_eq!(evaluate_cell(ModelKind::Vgae, &g, &cfg), Cell::Skip);
     }
 
     #[test]
@@ -210,7 +156,6 @@ mod tests {
             ..EvalConfig::fast()
         };
         let opts = LoadOptions {
-            offline: true,
             scale: 256,
             ..LoadOptions::default()
         };

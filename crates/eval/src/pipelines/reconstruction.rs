@@ -2,9 +2,9 @@
 
 use crate::pipelines::quality_diff;
 use crate::registry::{cpgan_config, deep_config, ModelKind};
-use crate::report::Table;
+use crate::report::{with_paper, Table};
 use crate::{paper, EvalConfig};
-use cpgan::{CpGan, Variant};
+use cpgan::{CpGan, CpGanConfig, Variant};
 use cpgan_data::datasets;
 use cpgan_deep::{condgen::CondGenR, graphite::Graphite, sbmgnn::SbmGnn, vgae::Vgae};
 use cpgan_graph::{Graph, GraphBuilder, NodeId};
@@ -86,7 +86,10 @@ pub fn reconstruct_probs(kind: ModelKind, train: &Graph, cfg: &EvalConfig, seed:
             CondGenR::fit(train, &deep_config(cfg, seed)).decode_probabilities(&mut rng)
         }
         ModelKind::CpGan(variant) => {
-            let mut model = CpGan::new(cpgan_config(variant, train, cfg, seed));
+            let mut model = CpGan::new(CpGanConfig {
+                variant,
+                ..cpgan_config(train, cfg, seed)
+            });
             model.fit(train);
             model.reconstruct_probabilities(train)
         }
@@ -153,10 +156,10 @@ pub fn run(cfg: &EvalConfig) -> Table {
             // The paper prints "CondGen" in Table V for CondGen-R.
             let paper_row = paper::table5_ref(d, kind.name());
             for (i, v) in vals.iter().enumerate() {
-                match paper_row {
-                    Some(p) => row.push(format!("{v:.3} ({:.3})", p[i])),
-                    None => row.push(format!("{v:.3}")),
-                }
+                row.push(with_paper(
+                    format!("{v:.3}"),
+                    paper_row.map(|p| format!("{:.3}", p[i])),
+                ));
             }
         }
         table.push_row(row);

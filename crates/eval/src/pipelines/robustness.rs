@@ -5,13 +5,12 @@
 //! comparable baselines — the paper's claim is that CPGAN's spread is the
 //! smallest. Right panel: CPGAN across learning-rate / decay settings.
 
-use crate::registry::{cpgan_config, deep_config, ModelKind};
+use crate::registry::{cpgan_config, deep_config, fit_model, ModelKind};
 use crate::report::Table;
 use crate::EvalConfig;
-use cpgan::{CpGan, Variant};
+use cpgan::{CpGanConfig, Variant};
 use cpgan_data::datasets;
-use cpgan_deep::{condgen::CondGenR, graphite::Graphite, vgae::Vgae};
-use cpgan_generators::GraphGenerator;
+use cpgan_deep::DeepConfig;
 use cpgan_graph::{mmd, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,56 +43,27 @@ impl Spread {
     }
 }
 
-fn degree_mmd_of(g: &Graph, generated: &Graph) -> f64 {
-    mmd::degree_mmd(g, generated)
-}
-
 /// Evaluates one model over the hidden x lr grid.
-/// # Panics
-///
-/// Panics when called with a model outside the robustness panel — a
-/// driver-contract violation, not a data error. Tolerated in
-/// `lint-baseline.toml`.
-#[allow(clippy::panic)]
 pub fn grid_spread(kind: ModelKind, g: &Graph, cfg: &EvalConfig) -> Spread {
     let mut values = Vec::new();
     for &hidden in &HIDDEN_GRID {
         for &lr in &LR_GRID {
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ (hidden as u64) ^ lr.to_bits() as u64);
-            let generated: Graph = match kind {
-                ModelKind::CpGan(v) => {
-                    let mut mc = cpgan_config(v, g, cfg, cfg.seed);
-                    mc.hidden_dim = hidden;
-                    mc.latent_dim = (hidden / 2).max(4);
-                    mc.learning_rate = lr;
-                    let mut model = CpGan::new(mc);
-                    model.fit(g);
-                    model.generate(g.n(), g.m(), &mut rng)
-                }
-                ModelKind::Vgae => {
-                    let mut dc = deep_config(cfg, cfg.seed);
-                    dc.hidden_dim = hidden;
-                    dc.latent_dim = (hidden / 2).max(4);
-                    dc.learning_rate = lr;
-                    Vgae::fit(g, &dc).generate(&mut rng)
-                }
-                ModelKind::Graphite => {
-                    let mut dc = deep_config(cfg, cfg.seed);
-                    dc.hidden_dim = hidden;
-                    dc.latent_dim = (hidden / 2).max(4);
-                    dc.learning_rate = lr;
-                    Graphite::fit(g, &dc).generate(&mut rng)
-                }
-                ModelKind::CondGenR => {
-                    let mut dc = deep_config(cfg, cfg.seed);
-                    dc.hidden_dim = hidden;
-                    dc.latent_dim = (hidden / 2).max(4);
-                    dc.learning_rate = lr;
-                    CondGenR::fit(g, &dc).generate(&mut rng)
-                }
-                other => panic!("{other:?} not part of the robustness panel"),
+            let latent = (hidden / 2).max(4);
+            let cpgan = CpGanConfig {
+                hidden_dim: hidden,
+                latent_dim: latent,
+                learning_rate: lr,
+                ..cpgan_config(g, cfg, cfg.seed)
             };
-            values.push(degree_mmd_of(g, &generated));
+            let deep = DeepConfig {
+                hidden_dim: hidden,
+                latent_dim: latent,
+                learning_rate: lr,
+                ..deep_config(cfg, cfg.seed)
+            };
+            let mut rng = StdRng::seed_from_u64(cfg.seed ^ (hidden as u64) ^ lr.to_bits() as u64);
+            let generated = fit_model(kind, g, &cpgan, &deep).generate(&mut rng);
+            values.push(mmd::degree_mmd(g, &generated));
         }
     }
     Spread {
@@ -104,20 +74,23 @@ pub fn grid_spread(kind: ModelKind, g: &Graph, cfg: &EvalConfig) -> Spread {
 
 /// CPGAN's right-panel sweep: learning rate x decay.
 pub fn cpgan_training_grid(g: &Graph, cfg: &EvalConfig) -> Vec<(f32, f32, f64)> {
+    let deep = deep_config(cfg, cfg.seed);
     let mut out = Vec::new();
     for &lr in &[1e-4f32, 1e-3, 5e-3] {
         for &decay in &[0.1f32, 0.3, 1.0] {
-            let mut mc = cpgan_config(Variant::Full, g, cfg, cfg.seed);
-            mc.learning_rate = lr;
-            mc.lr_decay = decay;
-            // Make the decay schedule actually engage within the configured
-            // epoch budget (the paper decays every 400 of its epochs).
-            mc.lr_decay_every = (cfg.cpgan_epochs / 2).max(1);
-            let mut model = CpGan::new(mc);
-            model.fit(g);
+            let cpgan = CpGanConfig {
+                learning_rate: lr,
+                lr_decay: decay,
+                // Make the decay schedule actually engage within the
+                // configured epoch budget (the paper decays every 400 of
+                // its epochs).
+                lr_decay_every: (cfg.cpgan_epochs / 2).max(1),
+                ..cpgan_config(g, cfg, cfg.seed)
+            };
+            let model = fit_model(ModelKind::CpGan(Variant::Full), g, &cpgan, &deep);
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ lr.to_bits() as u64);
-            let generated = model.generate(g.n(), g.m(), &mut rng);
-            out.push((lr, decay, degree_mmd_of(g, &generated)));
+            let generated = model.generate(&mut rng);
+            out.push((lr, decay, mmd::degree_mmd(g, &generated)));
         }
     }
     out

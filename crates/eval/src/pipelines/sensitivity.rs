@@ -6,10 +6,10 @@
 //! conclusion: two hierarchy levels is best, input dimension barely matters
 //! (it fixes dimension 4, levels 2 for all other experiments).
 
-use crate::registry::cpgan_config;
+use crate::registry::{cpgan_config, deep_config, fit_model, ModelKind};
 use crate::report::Table;
 use crate::EvalConfig;
-use cpgan::{CpGan, Variant};
+use cpgan::{CpGanConfig, Variant};
 use cpgan_data::datasets;
 use cpgan_graph::{stats, Graph};
 use rand::rngs::StdRng;
@@ -34,13 +34,18 @@ pub struct SweepPoint {
 }
 
 fn eval_point(g: &Graph, cfg: &EvalConfig, dim: usize, levels: usize, x: usize) -> SweepPoint {
-    let mut mc = cpgan_config(Variant::Full, g, cfg, cfg.seed);
-    mc.spectral_dim = dim;
-    mc.levels = levels;
-    let mut model = CpGan::new(mc);
-    model.fit(g);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5e5);
-    let out = model.generate(g.n(), g.m(), &mut rng);
+    let cpgan = CpGanConfig {
+        spectral_dim: dim,
+        levels,
+        ..cpgan_config(g, cfg, cfg.seed)
+    };
+    let model = fit_model(
+        ModelKind::CpGan(Variant::Full),
+        g,
+        &cpgan,
+        &deep_config(cfg, cfg.seed),
+    );
+    let out = model.generate(&mut StdRng::seed_from_u64(cfg.seed ^ 0x5e5));
     let (nmi, _) = crate::pipelines::community_scores(g, &out, cfg.seed);
     SweepPoint {
         x,

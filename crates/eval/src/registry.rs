@@ -176,20 +176,12 @@ impl FittedModel {
             FittedModel::CpGan(model, n, m) => model.generate(*n, *m, rng),
         }
     }
-
-    /// Model display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FittedModel::Generator(g) => g.name(),
-            FittedModel::CpGan(..) => "CPGAN",
-        }
-    }
 }
 
-/// CPGAN configuration derived from the harness settings.
-pub fn cpgan_config(variant: Variant, g: &Graph, cfg: &EvalConfig, seed: u64) -> CpGanConfig {
+/// CPGAN's harness configuration: `cfg`'s epoch budget, subgraphs of at
+/// most 200 nodes, and `seed`. [`fit_model`] sets the variant.
+pub fn cpgan_config(g: &Graph, cfg: &EvalConfig, seed: u64) -> CpGanConfig {
     CpGanConfig {
-        variant,
         epochs: cfg.cpgan_epochs,
         sample_size: 200.min(g.n().max(8)),
         seed,
@@ -197,7 +189,8 @@ pub fn cpgan_config(variant: Variant, g: &Graph, cfg: &EvalConfig, seed: u64) ->
     }
 }
 
-/// Deep-baseline configuration derived from the harness settings.
+/// The deep baselines' harness configuration: `cfg`'s epoch budget and
+/// `seed`.
 pub fn deep_config(cfg: &EvalConfig, seed: u64) -> DeepConfig {
     DeepConfig {
         epochs: cfg.deep_epochs,
@@ -206,66 +199,67 @@ pub fn deep_config(cfg: &EvalConfig, seed: u64) -> DeepConfig {
     }
 }
 
-/// Fits `kind` on the observed graph. This is the timed "training" step of
-/// Table VIII.
-pub fn fit_model(kind: ModelKind, g: &Graph, cfg: &EvalConfig, seed: u64) -> FittedModel {
-    match kind {
-        ModelKind::Er => FittedModel::Generator(Box::new(ErdosRenyi::fit(g))),
-        ModelKind::Ba => FittedModel::Generator(Box::new(BarabasiAlbert::fit(g))),
-        ModelKind::ChungLu => FittedModel::Generator(Box::new(ChungLu::fit(g))),
+/// Fits `kind` on the observed graph; every model the harness measures is
+/// built here. CPGAN variants train with `cpgan` (its `variant` taken from
+/// `kind`), the deep baselines with `deep`, and the block models draw their
+/// fitting randomness from `deep.seed`. This is the timed "training" step
+/// of Table VIII.
+pub fn fit_model(
+    kind: ModelKind,
+    g: &Graph,
+    cpgan: &CpGanConfig,
+    deep: &DeepConfig,
+) -> FittedModel {
+    let seed = deep.seed;
+    let generator: Box<dyn GraphGenerator> = match kind {
+        ModelKind::Er => Box::new(ErdosRenyi::fit(g)),
+        ModelKind::Ba => Box::new(BarabasiAlbert::fit(g)),
+        ModelKind::ChungLu => Box::new(ChungLu::fit(g)),
         // Block models use the limited block budget of the reference
         // implementations the paper compares against (its §I premise:
         // "there are only a few parameters in their models").
-        ModelKind::Sbm => {
-            FittedModel::Generator(Box::new(Sbm::fit_capped(g, seed, BLOCK_MODEL_CAPACITY)))
-        }
-        ModelKind::Dcsbm => {
-            FittedModel::Generator(Box::new(Dcsbm::fit_capped(g, seed, BLOCK_MODEL_CAPACITY)))
-        }
-        ModelKind::Bter => FittedModel::Generator(Box::new(Bter::fit(g))),
-        ModelKind::Kronecker => FittedModel::Generator(Box::new(Kronecker::fit(g))),
-        ModelKind::Mmsb => FittedModel::Generator(Box::new(Mmsb::fit_capped(
-            g,
-            seed,
-            0.1,
-            BLOCK_MODEL_CAPACITY,
-        ))),
-        ModelKind::Vgae => FittedModel::Generator(Box::new(Vgae::fit(g, &deep_config(cfg, seed)))),
-        ModelKind::Graphite => {
-            FittedModel::Generator(Box::new(Graphite::fit(g, &deep_config(cfg, seed))))
-        }
-        ModelKind::Sbmgnn => {
-            FittedModel::Generator(Box::new(SbmGnn::fit(g, &deep_config(cfg, seed), 0)))
-        }
-        ModelKind::GraphRnnS => {
-            FittedModel::Generator(Box::new(GraphRnnS::fit(g, &deep_config(cfg, seed))))
-        }
-        ModelKind::NetGan => {
-            FittedModel::Generator(Box::new(NetGan::fit(g, &deep_config(cfg, seed))))
-        }
-        ModelKind::CondGenR => {
-            FittedModel::Generator(Box::new(CondGenR::fit(g, &deep_config(cfg, seed))))
-        }
+        ModelKind::Sbm => Box::new(Sbm::fit_capped(g, seed, BLOCK_MODEL_CAPACITY)),
+        ModelKind::Dcsbm => Box::new(Dcsbm::fit_capped(g, seed, BLOCK_MODEL_CAPACITY)),
+        ModelKind::Bter => Box::new(Bter::fit(g)),
+        ModelKind::Kronecker => Box::new(Kronecker::fit(g)),
+        ModelKind::Mmsb => Box::new(Mmsb::fit_capped(g, seed, 0.1, BLOCK_MODEL_CAPACITY)),
+        ModelKind::Vgae => Box::new(Vgae::fit(g, deep)),
+        ModelKind::Graphite => Box::new(Graphite::fit(g, deep)),
+        ModelKind::Sbmgnn => Box::new(SbmGnn::fit(g, deep, 0)),
+        ModelKind::GraphRnnS => Box::new(GraphRnnS::fit(g, deep)),
+        ModelKind::NetGan => Box::new(NetGan::fit(g, deep)),
+        ModelKind::CondGenR => Box::new(CondGenR::fit(g, deep)),
         ModelKind::CpGan(variant) => {
-            let mut model = CpGan::new(cpgan_config(variant, g, cfg, seed));
+            let mut model = CpGan::new(CpGanConfig {
+                variant,
+                ..cpgan.clone()
+            });
             model.fit(g);
-            FittedModel::CpGan(Box::new(model), g.n(), g.m())
+            return FittedModel::CpGan(Box::new(model), g.n(), g.m());
         }
-    }
+    };
+    FittedModel::Generator(generator)
 }
 
-/// Convenience: fit and sample one graph with a derived RNG.
+/// Convenience: fit with the harness configurations and sample one graph
+/// with a derived RNG.
 pub fn fit_and_generate(kind: ModelKind, g: &Graph, cfg: &EvalConfig, seed: u64) -> Graph {
-    let model = fit_model(kind, g, cfg, seed);
+    let model = fit_model(
+        kind,
+        g,
+        &cpgan_config(g, cfg, seed),
+        &deep_config(cfg, seed),
+    );
     let mut rng = StdRng::seed_from_u64(seed ^ 0xabcd);
     model.generate(&mut rng)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn small_graph() -> Graph {
+    /// Three 10-node communities joined in a ring.
+    pub(crate) fn small_graph() -> Graph {
         let mut edges = Vec::new();
         for c in 0..3u32 {
             let base = c * 10;

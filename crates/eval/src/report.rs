@@ -81,26 +81,23 @@ pub fn write_json(table: &Table, path: &std::path::Path) -> std::io::Result<()> 
     serde_json::to_writer_pretty(file, table).map_err(std::io::Error::other)
 }
 
-/// Handles the shared `--json FILE` CLI flag: writes `table` to the given
-/// file if the flag is present. Errors are reported to stderr, not fatal.
-pub fn maybe_write_json(args: &[String], table: &Table) {
-    if let Some(path) = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-    {
-        match write_json(table, std::path::Path::new(path)) {
+/// Writes `table` as JSON to `path`, if given (the table binaries' `--json
+/// FILE`). Errors are reported to stderr, not fatal.
+pub fn maybe_write_json(path: Option<String>, table: &Table) {
+    if let Some(path) = path {
+        match write_json(table, std::path::Path::new(&path)) {
             Ok(()) => eprintln!("wrote {path}"),
             Err(e) => eprintln!("failed to write {path}: {e}"),
         }
     }
 }
 
-/// Formats a measured value with its paper reference, e.g. `0.71 (paper 0.725)`.
-pub fn vs_paper(measured: f64, paper: Option<f64>) -> String {
+/// `text`, followed by the paper's value in parentheses when the paper
+/// reports one, e.g. `0.500 (paper 0.725)`.
+pub fn with_paper(text: String, paper: Option<impl std::fmt::Display>) -> String {
     match paper {
-        Some(p) => format!("{measured:.3} (paper {p:.3})"),
-        None => format!("{measured:.3}"),
+        Some(p) => format!("{text} ({p})"),
+        None => text,
     }
 }
 
@@ -159,8 +156,9 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(vs_paper(0.5, Some(0.725)), "0.500 (paper 0.725)");
-        assert_eq!(vs_paper(0.5, None), "0.500");
+        let paper = Some(format!("paper {:.3}", 0.725));
+        assert_eq!(with_paper("0.500".into(), paper), "0.500 (paper 0.725)");
+        assert_eq!(with_paper("0.500".into(), None::<f64>), "0.500");
         assert_eq!(mean_std(&[]), "-");
         assert_eq!(mean_std(&[2.0]), "2.000");
         assert!(mean_std(&[1.0, 3.0]).starts_with("2.000±1.000"));

@@ -1,26 +1,5 @@
 use crate::{Graph, GraphError, NodeId};
 
-/// What [`Graph::from_edge_stream`] does with a self-loop `(v, v)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SelfLoopPolicy {
-    /// Drop the loop silently (matches [`GraphBuilder`] and every generator
-    /// in the paper).
-    Drop,
-    /// Fail with [`GraphError::Stream`] — for ingest paths where a loop
-    /// indicates corrupt input rather than generator slack.
-    Error,
-}
-
-/// What [`Graph::from_edge_stream`] does with a duplicate edge (including a
-/// reversed duplicate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DuplicatePolicy {
-    /// Keep one copy (matches [`GraphBuilder::build`]'s dedup).
-    Merge,
-    /// Fail with [`GraphError::Stream`] naming the duplicated edge.
-    Error,
-}
-
 /// Incremental builder for [`Graph`].
 ///
 /// Collects edges, canonicalizes them (`u < v`), and deduplicates at

@@ -1,4 +1,3 @@
-use crate::builder::{DuplicatePolicy, SelfLoopPolicy};
 use crate::{GraphBuilder, GraphError, NodeId};
 
 /// An undirected simple graph in compressed sparse row (CSR) form.
@@ -45,21 +44,16 @@ impl Graph {
     /// makes the 500k-node shard ingest fit its byte budget
     /// (`cpgan-shard`, DESIGN.md §14).
     ///
-    /// Self-loop and duplicate handling are explicit policy arguments; with
-    /// [`SelfLoopPolicy::Drop`] and [`DuplicatePolicy::Merge`] the result is
-    /// identical to [`Graph::from_edges`] on the same sequence.
+    /// Self-loops are dropped and duplicates merged, as in [`GraphBuilder`],
+    /// so the result is identical to [`Graph::from_edges`] on the same
+    /// sequence.
     ///
     /// # Errors
     ///
     /// [`GraphError::NodeOutOfRange`] on an endpoint `>= n`;
-    /// [`GraphError::Stream`] on a policy violation or if the two passes
-    /// disagree (a non-replayable iterator).
-    pub fn from_edge_stream<I, F>(
-        n: usize,
-        mut make_edges: F,
-        loops: SelfLoopPolicy,
-        dups: DuplicatePolicy,
-    ) -> Result<Self, GraphError>
+    /// [`GraphError::Stream`] if the two passes disagree (a non-replayable
+    /// iterator).
+    pub fn from_edge_stream<I, F>(n: usize, mut make_edges: F) -> Result<Self, GraphError>
     where
         F: FnMut() -> I,
         I: IntoIterator<Item = (NodeId, NodeId)>,
@@ -76,12 +70,7 @@ impl Graph {
                 return Err(GraphError::NodeOutOfRange { node: v as u64, n });
             }
             if u == v {
-                match loops {
-                    SelfLoopPolicy::Drop => continue,
-                    SelfLoopPolicy::Error => {
-                        return Err(GraphError::Stream(format!("self-loop at node {u}")));
-                    }
-                }
+                continue;
             }
             degrees[u as usize] += 1;
             degrees[v as usize] += 1;
@@ -102,7 +91,7 @@ impl Graph {
         let mut seen = 0usize;
         for (u, v) in make_edges() {
             if u == v || u as usize >= n || v as usize >= n {
-                continue; // pass 1 already applied the policy
+                continue; // pass 1 already validated and dropped these
             }
             seen += 1;
             if seen > kept {
@@ -132,14 +121,6 @@ impl Graph {
             for i in s..e {
                 let w = neighbors[i];
                 if w == prev {
-                    if dups == DuplicatePolicy::Error {
-                        let (a, b) = if (v as NodeId) < w {
-                            (v as NodeId, w)
-                        } else {
-                            (w, v as NodeId)
-                        };
-                        return Err(GraphError::Stream(format!("duplicate edge ({a}, {b})")));
-                    }
                     continue;
                 }
                 prev = w;
@@ -432,49 +413,13 @@ mod tests {
 
     #[test]
     fn stream_matches_from_edges() {
-        // Drop+Merge must be byte-identical to the buffered path, including
+        // The stream must be byte-identical to the buffered path, including
         // messy input (reversed duplicates, self-loops, unsorted order).
         let raw: Vec<(NodeId, NodeId)> = vec![(3, 1), (0, 1), (1, 0), (2, 2), (1, 2), (0, 1)];
         let buffered = Graph::from_edges(4, raw.iter().copied()).unwrap();
-        let streamed = Graph::from_edge_stream(
-            4,
-            || raw.iter().copied(),
-            SelfLoopPolicy::Drop,
-            DuplicatePolicy::Merge,
-        )
-        .unwrap();
+        let streamed = Graph::from_edge_stream(4, || raw.iter().copied()).unwrap();
         assert_eq!(streamed, buffered);
-    }
-
-    #[test]
-    fn stream_policies_reject() {
-        let with_loop = [(0, 1), (2, 2)];
-        let err = Graph::from_edge_stream(
-            3,
-            || with_loop.iter().copied(),
-            SelfLoopPolicy::Error,
-            DuplicatePolicy::Merge,
-        )
-        .unwrap_err();
-        assert!(matches!(err, GraphError::Stream(_)), "{err}");
-
-        let with_dup = [(0, 1), (1, 0)];
-        let err = Graph::from_edge_stream(
-            3,
-            || with_dup.iter().copied(),
-            SelfLoopPolicy::Drop,
-            DuplicatePolicy::Error,
-        )
-        .unwrap_err();
-        assert!(matches!(err, GraphError::Stream(_)), "{err}");
-
-        let err = Graph::from_edge_stream(
-            2,
-            || [(0, 7)].iter().copied(),
-            SelfLoopPolicy::Drop,
-            DuplicatePolicy::Merge,
-        )
-        .unwrap_err();
+        let err = Graph::from_edge_stream(2, || [(0, 7)].iter().copied()).unwrap_err();
         assert!(matches!(err, GraphError::NodeOutOfRange { node: 7, n: 2 }));
     }
 
@@ -482,40 +427,23 @@ mod tests {
     fn stream_detects_non_replayable_iterator() {
         use std::cell::Cell;
         let calls = Cell::new(0usize);
-        let err = Graph::from_edge_stream(
-            4,
-            || {
-                let pass = calls.get();
-                calls.set(pass + 1);
-                // Second pass yields one edge fewer than the first.
-                let take = if pass == 0 { 3 } else { 2 };
-                [(0, 1), (1, 2), (2, 3)].into_iter().take(take)
-            },
-            SelfLoopPolicy::Drop,
-            DuplicatePolicy::Merge,
-        )
+        let err = Graph::from_edge_stream(4, || {
+            let pass = calls.get();
+            calls.set(pass + 1);
+            // Second pass yields one edge fewer than the first.
+            let take = if pass == 0 { 3 } else { 2 };
+            [(0, 1), (1, 2), (2, 3)].into_iter().take(take)
+        })
         .unwrap_err();
         assert!(matches!(err, GraphError::Stream(_)), "{err}");
     }
 
     #[test]
     fn stream_empty_and_edgeless() {
-        let g = Graph::from_edge_stream(
-            0,
-            std::iter::empty,
-            SelfLoopPolicy::Drop,
-            DuplicatePolicy::Merge,
-        )
-        .unwrap();
+        let g = Graph::from_edge_stream(0, std::iter::empty).unwrap();
         assert_eq!(g.n(), 0);
         assert_eq!(g.m(), 0);
-        let g = Graph::from_edge_stream(
-            5,
-            std::iter::empty,
-            SelfLoopPolicy::Drop,
-            DuplicatePolicy::Merge,
-        )
-        .unwrap();
+        let g = Graph::from_edge_stream(5, std::iter::empty).unwrap();
         assert_eq!(g.n(), 5);
         assert_eq!(g.m(), 0);
         assert_eq!(g.degree(4), 0);

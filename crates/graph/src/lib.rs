@@ -33,7 +33,7 @@ pub mod sampling;
 pub mod spectral;
 pub mod stats;
 
-pub use builder::{DuplicatePolicy, GraphBuilder, SelfLoopPolicy};
+pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use graph::Graph;
 

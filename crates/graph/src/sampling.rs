@@ -44,22 +44,6 @@ pub fn sample_nodes_by_degree<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> Vec<N
     out
 }
 
-/// Samples `k` distinct nodes uniformly (the ablation comparator for the
-/// degree-proportional strategy).
-pub fn sample_nodes_uniform<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> Vec<NodeId> {
-    let n = g.n();
-    let k = k.min(n);
-    let mut ids: Vec<NodeId> = (0..n as NodeId).collect();
-    // Partial Fisher-Yates.
-    for i in 0..k {
-        let j = rng.gen_range(i..n);
-        ids.swap(i, j);
-    }
-    let mut out = ids[..k].to_vec();
-    out.sort_unstable();
-    out
-}
-
 /// Samples an induced subgraph of `k` nodes degree-proportionally; returns
 /// the subgraph and the original ids of its nodes.
 pub fn sample_subgraph<R: Rng>(g: &Graph, k: usize, rng: &mut R) -> (Graph, Vec<NodeId>) {
@@ -168,21 +152,6 @@ mod tests {
         // Hub has ~30/120 of total degree; with 5 draws it should appear in
         // most samples; uniform would give ~5/61 ~= 8%.
         assert!(hub_hits > reps / 2, "hub sampled only {hub_hits}/{reps}");
-    }
-
-    #[test]
-    fn uniform_sampler_not_degree_biased() {
-        let g = hub_graph();
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut hub_hits = 0;
-        let reps = 400;
-        for _ in 0..reps {
-            if sample_nodes_uniform(&g, 5, &mut rng).contains(&0) {
-                hub_hits += 1;
-            }
-        }
-        let frac = hub_hits as f64 / reps as f64;
-        assert!((frac - 5.0 / 61.0).abs() < 0.08, "uniform frac {frac}");
     }
 
     #[test]

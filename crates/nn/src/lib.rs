@@ -13,7 +13,7 @@
 //! * [`tape::Tape`] / [`tape::Var`] — reverse-mode automatic differentiation,
 //! * [`layers`] — `Linear`, `Mlp`, `GcnConv` (Eq. 6), `GruCell` (Eq. 13),
 //!   `PairNorm` (§III-C2),
-//! * [`optim`] — SGD and Adam with the paper's step-decay schedule,
+//! * [`optim`] — Adam with the paper's step-decay schedule,
 //! * [`loss`] — GAN and VAE losses (Eq. 16–19),
 //! * [`memory`] — peak tensor-memory tracking standing in for the paper's
 //!   "peak GPU memory" measurements (Table IX).

@@ -85,7 +85,7 @@ impl Matrix {
     /// Fallible [`Matrix::from_vec`]: rejects a buffer whose length is not
     /// `rows * cols`.
     pub fn try_from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Result<Self, NnError> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(ShapeError::new(
                 "from_vec buffer",
                 format!("{rows}x{cols} = {} elements", rows * cols),
@@ -496,7 +496,7 @@ impl serde::Deserialize for Matrix {
         let rows = usize::from_value(field("rows"))?;
         let cols = usize::from_value(field("cols"))?;
         let data = Vec::<f32>::from_value(field("data"))?;
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(serde::de::Error::custom(format!(
                 "matrix buffer size {} does not match {rows}x{cols}",
                 data.len()

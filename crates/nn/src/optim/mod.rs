@@ -1,10 +1,8 @@
 //! Optimizers.
 
 mod adam;
-mod sgd;
 
 pub use adam::Adam;
-pub use sgd::Sgd;
 
 use crate::params::ParamStore;
 

@@ -12,7 +12,6 @@ use crate::schedule::{estimate_peak_bytes, peak_estimate, plan_waves};
 use crate::ShardError;
 use cpgan::{CpGan, CpGanConfig};
 use cpgan_graph::{Graph, GraphBuilder, NodeId};
-use cpgan_nn::Matrix;
 use cpgan_parallel::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,15 +21,8 @@ use std::collections::{BTreeMap, BTreeSet};
 const SHARD_SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Salt separating the generation stream from the training stream.
 const GEN_SALT: u64 = 0xD1B5_4A32_D192_ED03;
-/// Salt for the quotient-assembly RNG.
-const STITCH_SALT: u64 = 0x2545_F491_4F6C_DD1D;
 /// Salt for per-pair edge realization RNGs.
 const PAIR_SALT: u64 = 0x6A09_E667_F3BC_C909;
-
-/// Largest quotient (community count) the dense §III-G assembler runs on;
-/// beyond this the sparse two-stage selection takes over (a dense k×k
-/// matrix at k = 32k communities would be ~4 GiB).
-const MAX_DENSE_QUOTIENT: usize = 4096;
 
 /// Shards smaller than this skip model training and echo their observed
 /// subgraph: a handful of nodes cannot support the encoder, and echoing is
@@ -291,45 +283,11 @@ impl ShardPipeline {
 
         let target_pairs = ((weights.len() as f64 * self.cfg.inter_pair_fraction).ceil() as usize)
             .clamp(1, weights.len());
+        // Keeping every observed pair makes selection the identity;
+        // otherwise run the two §III-G stages sparsely on the quotient.
         let selected: Vec<(usize, usize)> = if target_pairs == weights.len() {
-            // Keeping every observed pair: selection is the identity, so
-            // skip the assembler (and its dense k×k matrix) outright.
             weights.keys().copied().collect()
-        } else if k <= MAX_DENSE_QUOTIENT {
-            // Stage 1+2 of §III-G on the quotient: probabilities
-            // proportional to observed pair weights; degree budgets =
-            // observed quotient degrees, so no community accumulates more
-            // distinct partners than it had.
-            let mut probs = Matrix::zeros(k, k);
-            let mut qdeg = vec![0usize; k];
-            for (&(a, b), &w) in &weights {
-                let p = count_to_f32(w) / count_to_f32(total_inter);
-                probs.set(a, b, p);
-                probs.set(b, a, p);
-                qdeg[a] += 1;
-                qdeg[b] += 1;
-            }
-            let quotient_nodes: Vec<NodeId> = (0..k as NodeId).collect();
-            let mut qrng = StdRng::seed_from_u64(self.cfg.seed ^ STITCH_SALT);
-            let mut asm =
-                cpgan::assembly::GraphAssembler::new(k, target_pairs).with_degree_budgets(qdeg);
-            // One round suffices: the probability support is exactly the
-            // observed pairs, so the categorical stage seeds every
-            // community and the top-k stage fills to the target within the
-            // support.
-            asm.add_subgraph(&quotient_nodes, &probs, target_pairs, &mut qrng);
-            asm.build()
-                .edges()
-                .iter()
-                .map(|&(a, b)| (a as usize, b as usize))
-                .collect()
         } else {
-            // The dense-assembler path would allocate a k×k matrix; past
-            // MAX_DENSE_QUOTIENT communities run the same two stages
-            // sparsely and deterministically: seed every community with its
-            // heaviest observed pair (the categorical stage's guarantee),
-            // then fill to the target in global weight order (the top-k
-            // stage).
             select_pairs_sparse(&weights, k, target_pairs)
         };
 
@@ -411,18 +369,11 @@ impl ShardPipeline {
     }
 }
 
-/// Saturating edge-count → f32 for *relative* probability weights: pair
-/// counts sit far below 2^24, and past u32::MAX the ratio is already
-/// approximate, so saturation loses nothing the f32 hadn't.
-fn count_to_f32(c: usize) -> f32 {
-    u32::try_from(c).unwrap_or(u32::MAX) as f32
-}
-
-/// Sparse mirror of the two-stage §III-G selection for huge quotients:
-/// stage 1 keeps each community's heaviest observed pair (every community
-/// with an external link keeps at least one), stage 2 fills to
-/// `target_pairs` in global weight order. Fully deterministic — ties break
-/// on the (ordered) pair key.
+/// The two-stage §III-G selection on the quotient graph, without a dense
+/// k×k matrix: stage 1 keeps each community's heaviest observed pair
+/// (every community with an external link keeps at least one), stage 2
+/// fills to `target_pairs` in global weight order. Fully deterministic —
+/// ties break on the (ordered) pair key.
 fn select_pairs_sparse(
     weights: &BTreeMap<(usize, usize), usize>,
     k: usize,

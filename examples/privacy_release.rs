@@ -15,7 +15,7 @@
 
 use cpgan_data::datasets;
 use cpgan_eval::pipelines::{community_scores, quality_diff};
-use cpgan_eval::registry::{fit_model, ModelKind};
+use cpgan_eval::registry::{cpgan_config, deep_config, fit_model, ModelKind};
 use cpgan_eval::EvalConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,6 +40,8 @@ fn main() {
         "{:<12} {:>8} {:>8} {:>10} {:>10}",
         "model", "NMI", "ARI", "Deg.MMD", "Clus.MMD"
     );
+    let cpgan = cpgan_config(&ds.graph, &cfg, cfg.seed);
+    let deep = deep_config(&cfg, cfg.seed);
     for kind in [
         ModelKind::Er,
         ModelKind::Bter,
@@ -47,7 +49,7 @@ fn main() {
         ModelKind::Vgae,
         ModelKind::CpGan(cpgan::Variant::Full),
     ] {
-        let model = fit_model(kind, &ds.graph, &cfg, cfg.seed);
+        let model = fit_model(kind, &ds.graph, &cpgan, &deep);
         let mut rng = StdRng::seed_from_u64(5);
         let generated = model.generate(&mut rng);
         let (nmi, ari) = community_scores(&ds.graph, &generated, 0);
