@@ -1,7 +1,7 @@
 //! Runs the Table III/IV metrics on an *ingested* registry dataset
 //! (default: the vendored `citeseer-fixture` synthetic surrogate; pass an
-//! upstream name once its real files are in the cache), printing the
-//! reference-stat verification report first.
+//! upstream name once its real files are under `--data-dir`), printing
+//! the reference-stat verification report first.
 //!
 //! Usage: `cargo run --release -p bench --bin table_real -- [DATASET]
 //!     [--data-dir DIR] [--fast] [--scale S] [--seeds K] [--deep-epochs E]

@@ -76,6 +76,19 @@ impl Args {
             .transpose()
     }
 
+    /// Overwrites `field` with flag `key`'s parsed value when the flag was
+    /// given, so a command can start from its library defaults and
+    /// override only the flags passed.
+    pub fn update<T: FromStr>(&self, key: &str, field: &mut T) -> Result<(), String>
+    where
+        T::Err: Display,
+    {
+        if let Some(value) = self.value(key)? {
+            *field = value;
+        }
+        Ok(())
+    }
+
     /// Whether the bare switch `key` was given.
     pub fn switch(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key)
@@ -109,6 +122,10 @@ mod tests {
         assert_eq!(a.require("input").unwrap(), "g.txt");
         assert_eq!(a.value::<usize>("epochs").unwrap(), Some(10));
         assert_eq!(a.value::<usize>("absent").unwrap(), None);
+        let (mut epochs, mut absent) = (1usize, 2usize);
+        a.update("epochs", &mut epochs).unwrap();
+        a.update("absent", &mut absent).unwrap();
+        assert_eq!((epochs, absent), (10, 2));
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! `cpgan data` — the dataset registry subcommand.
 //!
 //! ```text
-//! cpgan data list
-//! cpgan data fetch  <name> [--data-dir DIR]
+//! cpgan data list   [--data-dir DIR]
 //! cpgan data verify <name> [--data-dir DIR] [--report PATH]
 //! cpgan data stats  <name> [--data-dir DIR]
 //! cpgan data ingest <name> --output <edge-list> [--data-dir DIR]
 //! ```
 //!
 //! The action and the dataset names are positionals of the shared parser;
-//! `--scale S` and `--seed S` size the synthetic entries.
+//! `--scale S` and `--seed S` size the synthetic entries. Every action
+//! reads the entry's files where they live and writes nothing but the
+//! `--report`/`--output` file it was asked for.
 
 use cpgan_cli::args::Args;
-use cpgan_datasets::{fetch, load, registry, verify, Cache, FetchAction, LoadOptions};
+use cpgan_datasets::{file_paths, load, registry, verify, LoadOptions};
 use cpgan_graph::io;
 use std::path::PathBuf;
 
@@ -33,7 +34,6 @@ pub fn run(args: &Args) -> Result<(), String> {
     };
     match action.as_str() {
         "list" => list(&opts),
-        "fetch" => do_fetch(&opts, names()?),
         "verify" => do_verify(&opts, names()?, args.get("report")),
         "stats" => do_stats(&opts, names()?),
         "ingest" => do_ingest(&opts, names()?, args.get("output")),
@@ -42,18 +42,18 @@ pub fn run(args: &Args) -> Result<(), String> {
 }
 
 fn list(opts: &LoadOptions) -> Result<(), String> {
-    let cache = Cache::resolve(opts.data_dir.as_deref());
-    let cached = cache.scan().map_err(|e| e.to_string())?;
     println!(
-        "{:<26} {:>8} {:>9}  {:<10} cached",
+        "{:<26} {:>8} {:>9}  {:<10} files",
         "name", "nodes", "edges", "data"
     );
     for entry in registry::registry() {
-        // `data` is the provenance class: real upstream files, an
-        // in-repo surrogate fixture, or a load-time synthesizer.
-        let cached = if !entry.is_file_backed() {
+        // `data` is where the graph comes from: real upstream files, an
+        // in-repo surrogate fixture, or a load-time synthesizer; `files`
+        // says whether a file-backed entry's files are in place.
+        let paths = file_paths(entry, opts.data_dir.as_deref());
+        let present = if paths.is_empty() {
             "-"
-        } else if cached.iter().any(|c| c == &entry.name) {
+        } else if paths.iter().all(|p| p.is_file()) {
             "yes"
         } else {
             "no"
@@ -63,32 +63,9 @@ fn list(opts: &LoadOptions) -> Result<(), String> {
             entry.name,
             entry.reference.n,
             entry.reference.m,
-            entry.data.label(),
-            cached
+            entry.source.label(),
+            present
         );
-    }
-    Ok(())
-}
-
-fn do_fetch(opts: &LoadOptions, names: &[String]) -> Result<(), String> {
-    let cache = Cache::resolve(opts.data_dir.as_deref());
-    for name in names {
-        let entry = registry::resolve(name).map_err(|e| e.to_string())?;
-        let outcomes = fetch(entry, &cache).map_err(|e| e.to_string())?;
-        if outcomes.is_empty() {
-            println!("{name}: synthesized at load time (nothing to fetch)");
-        }
-        for o in outcomes {
-            let what = match o.action {
-                FetchAction::AlreadyCached => "cached, checksum ok",
-                FetchAction::CopiedFixture => "copied from fixtures, checksum ok",
-            };
-            println!(
-                "{name}: {} -> {} ({what})",
-                o.file,
-                cache.file_path(&entry.name, &o.file).display()
-            );
-        }
     }
     Ok(())
 }
@@ -101,13 +78,13 @@ fn do_verify(opts: &LoadOptions, names: &[String], report: Option<String>) -> Re
         let loaded = load(entry, opts).map_err(|e| e.to_string())?;
         let report = verify::verify(entry, &loaded.graph, verify::DEFAULT_CPL_SOURCES);
         print!("{}", report.render());
-        all_pass &= report.passed();
+        all_pass &= report.passed;
         reports.push(report);
     }
     if let Some(path) = &report {
-        let json: Vec<String> = reports.iter().map(verify::VerifyReport::to_json).collect();
-        std::fs::write(path, format!("[{}]\n", json.join(",")))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        let json =
+            serde_json::to_string(&reports).map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, json + "\n").map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("report written to {path}");
     }
     if all_pass {

@@ -8,16 +8,19 @@
 //! cpgan eval     --observed graph.txt --generated out.txt
 //! cpgan serve    --model model.json [--addr HOST:PORT] [--workers N]
 //! cpgan shard    --input graph.txt --output out.txt [--max-shard-size N] [--budget-mb N]
-//! cpgan data     list | fetch <name> | verify <name> | stats <name> | ingest <name>
+//! cpgan data     list | verify <name> | stats <name> | ingest <name>
 //! ```
 //!
 //! Graphs are whitespace edge lists (`# nodes: N` header optional), the
-//! format `cpgan_graph::io` reads and writes.
+//! format `cpgan_graph::io` reads and writes. Every flag left out keeps
+//! the library default (`CpGanConfig`, `ShardConfig`, `ServeConfig`,
+//! `cpgan_serve::DEFAULT_SEED`).
 
 use cpgan::{CpGan, CpGanConfig};
 use cpgan_community::{louvain, metrics};
 use cpgan_graph::{io, mmd, stats, Graph};
-use cpgan_serve::{ModelRegistry, ServeConfig, Server};
+use cpgan_serve::{ModelRegistry, ServeConfig, Server, DEFAULT_SEED};
+use cpgan_shard::{ShardConfig, ShardPipeline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
@@ -49,7 +52,7 @@ fn usage() -> &'static str {
      [--queue-depth N] [--deadline-ms N] [--idle-ms N] [--cache-mb N] [--max-conns N]\n  \
      cpgan shard    --input <edge-list> --output <edge-list> [--max-shard-size N] [--budget-mb N]\n                 \
      [--epochs N] [--sample-size N] [--seed S]\n  \
-     cpgan data     list | fetch <name> | verify <name> [--report PATH] | stats <name>\n                 \
+     cpgan data     list | verify <name> [--report PATH] | stats <name>\n                 \
      | ingest <name> --output <edge-list>   (all: [--data-dir DIR];\n                 \
      synthetic entries: [--scale S] [--seed S]; see DESIGN.md \u{a7}15)\n\n\
      any subcommand also accepts:\n  \
@@ -165,13 +168,7 @@ fn fit(args: &Args) -> Result<(), String> {
     let model_path = args.require("model")?;
     let g = load_graph(&input)?;
     eprintln!("observed graph: {} nodes, {} edges", g.n(), g.m());
-    let cfg = CpGanConfig {
-        epochs: args.value::<usize>("epochs")?.unwrap_or(400),
-        sample_size: args.value::<usize>("sample-size")?.unwrap_or(200),
-        seed: args.value::<u64>("seed")?.unwrap_or(42),
-        ..CpGanConfig::default()
-    };
-    let mut model = CpGan::try_new(cfg).map_err(|e| e.to_string())?;
+    let mut model = CpGan::try_new(fit_config(args)?).map_err(|e| e.to_string())?;
     let stats = model.fit(&g);
     let last = stats.last().ok_or("training produced no epochs")?;
     eprintln!(
@@ -204,8 +201,14 @@ fn generate(args: &Args) -> Result<(), String> {
         )?;
     let n = args.value::<usize>("nodes")?.unwrap_or(def_n);
     let m = args.value::<usize>("edges")?.unwrap_or(def_m);
-    let mut rng = StdRng::seed_from_u64(args.value::<u64>("seed")?.unwrap_or(7));
-    let out = model.generate(n, m, &mut rng);
+    // The served default seed, so `cpgan generate` and an empty
+    // `POST /v1/generate` body give the same bytes.
+    let mut seed = DEFAULT_SEED;
+    args.update("seed", &mut seed)?;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let out = model
+        .try_generate(n, m, &mut rng)
+        .map_err(|e| e.to_string())?;
     io::save(&out, &output).map_err(|e| format!("cannot write {output}: {e}"))?;
     eprintln!(
         "generated {} nodes / {} edges -> {output}",
@@ -227,19 +230,7 @@ fn serve(args: &Args) -> Result<(), String> {
             .unwrap_or_else(|| "untrained".to_string());
         eprintln!("loaded model '{name}' from {path} ({shape})");
     }
-    let cfg = ServeConfig {
-        addr: args
-            .get("addr")
-            .unwrap_or_else(|| "127.0.0.1:8787".to_string()),
-        workers: args.value::<usize>("workers")?.unwrap_or(0),
-        queue_depth: args.value::<usize>("queue-depth")?.unwrap_or(64),
-        deadline_ms: args.value::<u64>("deadline-ms")?.unwrap_or(5_000),
-        gen_threads: args.value::<usize>("threads")?,
-        idle_ms: args.value::<u64>("idle-ms")?.unwrap_or(5_000),
-        // `--cache-mb 0` disables the generation cache entirely.
-        cache_bytes: args.value::<usize>("cache-mb")?.unwrap_or(16) * 1024 * 1024,
-        max_conns: args.value::<usize>("max-conns")?.unwrap_or(1024),
-    };
+    let cfg = serve_config(args)?;
     // The metrics endpoint serves the merged cpgan-obs report; a server
     // without collection would serve an empty document forever.
     cpgan_obs::set_enabled(true);
@@ -249,7 +240,7 @@ fn serve(args: &Args) -> Result<(), String> {
          POST /v1/generate, GET /v1/models /healthz /metrics",
         server.addr(),
         server.worker_count(),
-        args.value::<usize>("queue-depth")?.unwrap_or(64),
+        server.queue_depth(),
     );
     server.wait();
     Ok(())
@@ -260,19 +251,7 @@ fn shard(args: &Args) -> Result<(), String> {
     let output = args.require("output")?;
     let g = load_graph(&input)?;
     eprintln!("observed graph: {} nodes, {} edges", g.n(), g.m());
-    let model = CpGanConfig {
-        epochs: args.value::<usize>("epochs")?.unwrap_or(20),
-        sample_size: args.value::<usize>("sample-size")?.unwrap_or(60),
-        ..CpGanConfig::tiny()
-    };
-    let cfg = cpgan_shard::ShardConfig {
-        max_shard_size: args.value::<usize>("max-shard-size")?.unwrap_or(4000),
-        memory_budget_bytes: args.value::<usize>("budget-mb")?.unwrap_or(256) << 20,
-        model,
-        seed: args.value::<u64>("seed")?.unwrap_or(42),
-        ..cpgan_shard::ShardConfig::default()
-    };
-    let pipeline = cpgan_shard::ShardPipeline::new(cfg).map_err(|e| e.to_string())?;
+    let pipeline = ShardPipeline::new(shard_config(args)?).map_err(|e| e.to_string())?;
     let report = pipeline.run(&g).map_err(|e| e.to_string())?;
     io::save(&report.graph, &output).map_err(|e| format!("cannot write {output}: {e}"))?;
     eprintln!(
@@ -291,6 +270,47 @@ fn shard(args: &Args) -> Result<(), String> {
         report.inter_edges
     );
     Ok(())
+}
+
+/// `fit`'s model: [`CpGanConfig::default`] with the given flags applied.
+fn fit_config(args: &Args) -> Result<CpGanConfig, String> {
+    let mut cfg = CpGanConfig::default();
+    args.update("epochs", &mut cfg.epochs)?;
+    args.update("sample-size", &mut cfg.sample_size)?;
+    args.update("seed", &mut cfg.seed)?;
+    Ok(cfg)
+}
+
+/// `shard`'s pipeline: [`ShardConfig::default`] with the given flags
+/// applied (`--epochs`/`--sample-size` set its per-shard model).
+fn shard_config(args: &Args) -> Result<ShardConfig, String> {
+    let mut cfg = ShardConfig::default();
+    args.update("max-shard-size", &mut cfg.max_shard_size)?;
+    if let Some(mb) = args.value::<usize>("budget-mb")? {
+        cfg.memory_budget_bytes = mb.saturating_mul(1 << 20);
+    }
+    args.update("epochs", &mut cfg.model.epochs)?;
+    args.update("sample-size", &mut cfg.model.sample_size)?;
+    args.update("seed", &mut cfg.seed)?;
+    Ok(cfg)
+}
+
+/// `serve`'s server: [`ServeConfig::default`] with the given flags applied
+/// (`--threads` sets the per-generation thread budget).
+fn serve_config(args: &Args) -> Result<ServeConfig, String> {
+    let mut cfg = ServeConfig::default();
+    args.update("addr", &mut cfg.addr)?;
+    args.update("workers", &mut cfg.workers)?;
+    args.update("queue-depth", &mut cfg.queue_depth)?;
+    args.update("deadline-ms", &mut cfg.deadline_ms)?;
+    cfg.gen_threads = args.value("threads")?;
+    args.update("idle-ms", &mut cfg.idle_ms)?;
+    // `--cache-mb 0` disables the generation cache entirely.
+    if let Some(mb) = args.value::<usize>("cache-mb")? {
+        cfg.cache_bytes = mb.saturating_mul(1 << 20);
+    }
+    args.update("max-conns", &mut cfg.max_conns)?;
+    Ok(cfg)
 }
 
 fn show_stats(args: &Args) -> Result<(), String> {
@@ -337,4 +357,42 @@ fn eval(args: &Args) -> Result<(), String> {
     println!("gini diff:  {:.4}", (so.gini - sg.gini).abs());
     println!("PWE diff:   {:.4}", (so.pwe - sg.pwe).abs());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(tokens: &[&str]) -> Args {
+        let tokens: Vec<String> = tokens.iter().map(|t| t.to_string()).collect();
+        let flags = ["epochs", "sample-size", "seed", "budget-mb", "cache-mb"];
+        Args::parse(&tokens, &[&flags[..], &GLOBAL_FLAGS[..]].concat(), &[], 0).unwrap()
+    }
+
+    #[test]
+    fn an_empty_flag_list_yields_the_library_defaults() {
+        // The configs do not derive `PartialEq`, so compare their `Debug`
+        // renderings.
+        let args = parse(&[]);
+        let same = |a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        };
+        same(&fit_config(&args).unwrap(), &CpGanConfig::default());
+        same(&shard_config(&args).unwrap(), &ShardConfig::default());
+        same(&serve_config(&args).unwrap(), &ServeConfig::default());
+    }
+
+    #[test]
+    fn given_flags_override_only_their_field() {
+        let args = parse(&["--epochs", "5", "--budget-mb", "1", "--cache-mb", "0"]);
+        let fit = fit_config(&args).unwrap();
+        assert_eq!((fit.epochs, fit.seed), (5, CpGanConfig::default().seed));
+        let shard = shard_config(&args).unwrap();
+        assert_eq!(shard.model.epochs, 5);
+        assert_eq!(shard.memory_budget_bytes, 1 << 20);
+        assert_eq!(shard.max_shard_size, ShardConfig::default().max_shard_size);
+        let serve = serve_config(&args).unwrap();
+        assert_eq!(serve.cache_bytes, 0);
+        assert_eq!(serve.queue_depth, ServeConfig::default().queue_depth);
+    }
 }

@@ -1,11 +1,14 @@
-//! Typed errors for CPGAN configuration and model construction.
+//! Typed errors for CPGAN configuration, model construction and
+//! generation.
 //!
 //! Every fallible constructor in this crate has a `try_*` entry point
-//! returning [`ModelError`]; the original panicking constructors are thin
-//! wrappers. Configuration problems surface as [`ConfigError`] with the
+//! returning [`ModelError`], and so does generation
+//! (`CpGan::try_generate`); the panicking versions are thin wrappers.
+//! Configuration problems surface as [`ConfigError`] with the
 //! offending field named, so callers driving the model from deserialized
 //! configs (CLI flags, JSON sweeps) can report them without a panic.
 
+use cpgan_graph::NodeId;
 use cpgan_nn::NnError;
 use std::fmt;
 
@@ -43,6 +46,11 @@ pub enum ModelError {
     Config(ConfigError),
     /// A tensor operation rejected its operands.
     Nn(NnError),
+    /// A generation asked for more nodes than a [`NodeId`] can number.
+    TooManyNodes {
+        /// The requested node count.
+        requested: usize,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -50,6 +58,12 @@ impl fmt::Display for ModelError {
         match self {
             ModelError::Config(e) => e.fmt(f),
             ModelError::Nn(e) => e.fmt(f),
+            ModelError::TooManyNodes { requested } => write!(
+                f,
+                "cannot generate {requested} nodes: node ids are {}-bit, so at most {} nodes",
+                NodeId::BITS,
+                NodeId::MAX
+            ),
         }
     }
 }
@@ -59,6 +73,7 @@ impl std::error::Error for ModelError {
         match self {
             ModelError::Config(e) => Some(e),
             ModelError::Nn(e) => Some(e),
+            ModelError::TooManyNodes { .. } => None,
         }
     }
 }

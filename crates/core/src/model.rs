@@ -6,9 +6,10 @@ use crate::decoder::GraphDecoder;
 use crate::discriminator::Discriminator;
 use crate::encoder::{AdjInput, EncoderOutput, LadderEncoder};
 use crate::error::{model_panic, ModelError};
-use crate::sampling;
+use crate::sampling::weighted_prefix_shuffle;
 use crate::vi::VariationalInference;
 use cpgan_community::louvain;
+use cpgan_graph::sampling::SubgraphSampler;
 use cpgan_graph::{spectral, Graph, NodeId};
 use cpgan_nn::optim::{Adam, Optimizer, StepDecay};
 use cpgan_nn::{Csr, Matrix, ParamStore, Tape, Var};
@@ -408,7 +409,7 @@ impl CpGan {
         let epochs = self.cfg.epochs;
         // One seeded subgraph stream for the whole run: batch grouping can
         // never change the sampled sequence (DESIGN.md §13).
-        let mut sampler = sampling::SubgraphSampler::new(self.cfg.seed.wrapping_add(0x5eed));
+        let mut sampler = SubgraphSampler::new(self.cfg.seed.wrapping_add(0x5eed));
         // Spectral features are computed once on the observed graph
         // (X = X(A), §III-C1); sampled subgraphs reuse the corresponding
         // rows, keeping the encoder's input distribution stationary across
@@ -491,7 +492,21 @@ impl CpGan {
     /// memberships node-aligned with the observed graph — the property
     /// Table III's NMI/ARI measure. For other sizes, latents come from the
     /// standard-normal prior (Eq. 16's `Z_s` path).
+    ///
+    /// Panics when `n` exceeds [`NodeId::MAX`]; [`CpGan::try_generate`]
+    /// returns that as an error instead.
     pub fn generate(&self, n: usize, m: usize, rng: &mut StdRng) -> Graph {
+        self.try_generate(n, m, rng)
+            .unwrap_or_else(|e| model_panic(e))
+    }
+
+    /// Fallible [`CpGan::generate`]: a node count above [`NodeId::MAX`]
+    /// is a typed [`ModelError::TooManyNodes`], returned before anything
+    /// is allocated.
+    pub fn try_generate(&self, n: usize, m: usize, rng: &mut StdRng) -> Result<Graph, ModelError> {
+        if NodeId::try_from(n).is_err() {
+            return Err(ModelError::TooManyNodes { requested: n });
+        }
         let _span = cpgan_obs::span("core.generate");
         let ns = self.cfg.sample_size.min(n).max(2);
         let mut asm = GraphAssembler::new(n, m);
@@ -520,7 +535,7 @@ impl CpGan {
             round += 1;
             // Degree-proportional without replacement for the first `ns`
             // slots.
-            sampling::weighted_prefix_shuffle(&mut ids, &weights, ns, rng);
+            weighted_prefix_shuffle(&mut ids, &weights, ns, rng);
             let nodes: Vec<NodeId> = ids[..ns].to_vec();
             let mut noise_rng = StdRng::seed_from_u64(rng.gen());
             match posterior {
@@ -553,7 +568,7 @@ impl CpGan {
         // Top up any deficit with residual-degree Chung-Lu edges so the
         // output hits the edge target with the right degree sequence.
         asm.fill_residual(rng);
-        asm.build()
+        Ok(asm.build())
     }
 
     /// Link probabilities among the local rows `rows` of one posterior
@@ -579,8 +594,9 @@ impl CpGan {
 
     /// Encodes `g` and returns the full link-probability matrix (`n x n`).
     /// Intended for graphs that fit densely in memory (reconstruction
-    /// experiments); the budget guard in `cpgan_nn::memory` flags larger
-    /// inputs as OOM exactly like the paper's GPU runs.
+    /// experiments); callers decide beforehand whether a graph is too
+    /// large, as `cpgan_eval::budget::would_oom` does for the paper's
+    /// 24 GB GPU.
     pub fn reconstruct_probabilities(&self, g: &Graph) -> Matrix {
         let tape = Tape::new();
         let x = tape.constant(self.features(g, self.cfg.seed));
@@ -755,6 +771,20 @@ mod tests {
             Err(crate::error::ModelError::Config(e)) => assert_eq!(e.field, "latent_dim"),
             other => panic!("expected config error, got {:?}", other.map(|_| "model")),
         }
+    }
+
+    #[test]
+    fn try_generate_rejects_node_counts_beyond_node_id() {
+        let model = CpGan::new(quick_cfg());
+        let mut rng = StdRng::seed_from_u64(1);
+        let too_many = usize::try_from(NodeId::MAX).unwrap() + 1;
+        match model.try_generate(too_many, 10, &mut rng) {
+            Err(crate::error::ModelError::TooManyNodes { requested }) => {
+                assert_eq!(requested, too_many);
+            }
+            other => panic!("expected TooManyNodes, got {:?}", other.map(|g| g.n())),
+        }
+        assert_eq!(model.try_generate(30, 40, &mut rng).unwrap().n(), 30);
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Degree-proportional node sampling (paper §III-E).
+//! Degree-proportional node sampling (paper §III-E):
+//! [`weighted_prefix_shuffle`] is generation's per-round node draw.
 //!
 //! Subgraph sampling for training lives in [`cpgan_graph::sampling`] so the
 //! deep baselines (which do not depend on this crate) can share the exact
-//! same seeded stream; this module re-exports it under the historical path.
-//! [`weighted_prefix_shuffle`] is generation's per-round node draw.
+//! same seeded stream.
 
-pub use cpgan_graph::sampling::{sample_nodes_by_degree, sample_subgraph, SubgraphSampler};
 use cpgan_graph::NodeId;
 use rand::Rng;
 

@@ -7,7 +7,7 @@
 
 use cpgan::assembly::GraphAssembler;
 use cpgan::config::{CpGanConfig, Variant};
-use cpgan::sampling;
+use cpgan_graph::sampling;
 use cpgan_graph::{Graph, NodeId};
 use cpgan_nn::Matrix;
 use proptest::prelude::*;

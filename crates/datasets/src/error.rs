@@ -15,7 +15,7 @@ pub enum DatasetError {
     },
     /// A line of an input file does not follow its declared format.
     Parse {
-        /// Workspace- or cache-relative file label.
+        /// The file's path.
         file: String,
         /// 1-based line number.
         line: usize,
@@ -30,7 +30,7 @@ pub enum DatasetError {
         /// The name as given.
         name: String,
     },
-    /// A cached or fetched file does not hash to the manifest's SHA-256.
+    /// A vendored fixture does not hash to its pinned SHA-256.
     ChecksumMismatch {
         /// Path of the offending file.
         file: String,
@@ -39,12 +39,12 @@ pub enum DatasetError {
         /// Computed checksum (lowercase hex).
         actual: String,
     },
-    /// This build has no network stack; the file must be placed in the
-    /// cache by hand.
+    /// An upstream file is missing; this build has no network stack, so
+    /// it must be placed by hand.
     ManualDownload {
         /// Canonical source URL.
         url: String,
-        /// Destination path inside the cache dir.
+        /// Where to place the file: `<data-dir>/<name>/<file>`.
         dest: String,
     },
     /// A vendored fixture named by the manifest is missing from the
@@ -78,12 +78,12 @@ impl fmt::Display for DatasetError {
             } => write!(
                 f,
                 "{file}: SHA-256 mismatch (expected {expected}, got {actual}); \
-                 delete the file and re-fetch"
+                 restore the fixture from git or regenerate it with gen_fixtures"
             ),
             DatasetError::ManualDownload { url, dest } => write!(
                 f,
-                "no network stack in this build: download {url} and place the \
-                 extracted file at {dest}, then re-run fetch to verify its checksum"
+                "{dest} is missing and this build has no network stack: \
+                 download {url} and place the extracted file there"
             ),
             DatasetError::MissingFixture { path } => {
                 write!(f, "vendored fixture missing from checkout: {path}")

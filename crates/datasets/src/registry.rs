@@ -1,29 +1,31 @@
 //! The manifest-driven dataset registry.
 //!
-//! One [`DatasetEntry`] per dataset name. Three provenance classes cover
-//! every entry, and the class is recorded explicitly so downstream
-//! consumers (`cpgan data list`, eval, docs) can never mistake one for
-//! another:
+//! One [`DatasetEntry`] per dataset name. Its [`Source`] is the one
+//! statement of where the graph comes from, and the `real` / `surrogate`
+//! / `synthetic` label that `cpgan data list` prints is derived from it
+//! ([`Source::label`]), so no entry can present generated data as real:
 //!
-//! * **upstream** datasets backed by the real distribution files
-//!   (`citeseer`, `cora`, `epinions`, `google`, `pubmed`). This build has
-//!   no network stack, so their files must be placed in the cache by
-//!   hand; once present they are ingested and verified against the
-//!   published statistics.
-//! * **fixture surrogates** (`citeseer-fixture`, `cora-fixture`):
-//!   synthetic graphs generated in-repo by the `gen_fixtures` bin
-//!   (degree-sequence design + Havel–Hakimi + rewiring) and vendored
-//!   under `crates/datasets/fixtures/`. They contain **no upstream
-//!   data** — they exist so the ingestion/eval pipeline is exercisable
-//!   offline. Their reference stats are *recorded measurements of the
-//!   fixture itself* (pinned at generation time), so `verify` gates
-//!   ingestion fidelity, not real-graph fidelity.
-//! * the six **synthetic Table II stand-ins** from
-//!   `cpgan_data::datasets`, registered under `<name>-synthetic`, so CLI
-//!   and eval resolve every flavor through the same interface instead of
-//!   special-casing `PAPER_DATASETS`.
+//! * [`Source::Upstream`] — the real distribution files (`citeseer`,
+//!   `cora`, `epinions`, `google`, `pubmed`). This build has no network
+//!   stack, so their files are placed by hand under
+//!   `<data-dir>/<name>/`; once present they are ingested and verified
+//!   against the published statistics.
+//! * [`Source::Fixture`] — the surrogates `citeseer-fixture` and
+//!   `cora-fixture`: synthetic graphs generated in-repo by the
+//!   `gen_fixtures` bin (degree-sequence design + Havel–Hakimi +
+//!   rewiring) and vendored under `crates/datasets/fixtures/`, each file
+//!   pinned by its SHA-256. They contain **no upstream data** — they
+//!   exist so the ingestion/eval pipeline runs without downloads. Their
+//!   reference stats are *recorded measurements of the fixture itself*
+//!   (pinned at generation time), so `verify` gates ingestion fidelity,
+//!   not real-graph fidelity.
+//! * [`Source::Synthetic`] — the six Table II stand-ins from
+//!   `cpgan_data::datasets`, registered under `<name>-synthetic` so the
+//!   CLI and `table_real` resolve them like any other entry. Tables
+//!   III–VI synthesize their stand-ins straight from
+//!   `cpgan_data::datasets` instead.
 //!
-//! Reference numbers come from three sources, one per provenance class:
+//! Reference numbers come from three sources, one per kind of source:
 //! the paper's Table II row (or the exemplar repos' measurement table,
 //! SNIPPETS.md §Data Description) for upstream entries; recorded
 //! generation-time measurements for the fixtures; and the stand-in
@@ -69,74 +71,61 @@ pub struct Tolerances {
     pub cpl: f64,
 }
 
-/// Where a registry file comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Provenance {
-    /// Shipped with the repository under `crates/datasets/fixtures/`.
-    Vendored(&'static str),
-    /// Must be downloaded from this URL (no network stack in this build —
-    /// fetch prints manual instructions).
-    Remote(&'static str),
-}
-
-/// Where an entry's *graph data* comes from — distinct from the per-file
-/// [`Provenance`], this classifies whether the data is real at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DataProvenance {
-    /// The real upstream distribution files (manual download in this
-    /// network-less build).
-    Upstream,
-    /// A synthetic surrogate generated in-repo by `gen_fixtures` and
-    /// vendored as files; contains no upstream data.
-    FixtureSurrogate,
-    /// Synthesized at load time by the Table II stand-in generator.
-    Synthesized,
-}
-
-impl DataProvenance {
-    /// Stable lowercase label for CLI/report rendering.
-    pub fn label(self) -> &'static str {
-        match self {
-            DataProvenance::Upstream => "real",
-            DataProvenance::FixtureSurrogate => "surrogate",
-            DataProvenance::Synthesized => "synthetic",
-        }
-    }
-
-    /// Whether the entry's graph is real upstream data (as opposed to a
-    /// generated surrogate or stand-in).
-    pub fn is_real_data(self) -> bool {
-        matches!(self, DataProvenance::Upstream)
-    }
-}
-
 /// One file of a file-backed dataset.
 #[derive(Debug, Clone, Copy)]
 pub struct FileSpec {
-    /// File name inside the dataset's cache directory.
+    /// File name inside the directory the entry is read from.
     pub name: &'static str,
     /// Parser to apply.
     pub format: Format,
-    /// Lowercase-hex SHA-256 of the file; `None` when unknown (remote
-    /// files we cannot download to hash — verified stats still gate them).
-    pub sha256: Option<&'static str>,
-    /// Where the file comes from.
-    pub provenance: Provenance,
 }
 
-/// How a dataset's graph is obtained.
-#[derive(Debug, Clone)]
+/// A vendored fixture file and the SHA-256 it must hash to.
+#[derive(Debug, Clone, Copy)]
+pub struct PinnedFile {
+    /// The file.
+    pub file: FileSpec,
+    /// Lowercase-hex SHA-256, pinned by `gen_fixtures`.
+    pub sha256: &'static str,
+}
+
+/// Where an entry's graph comes from. File lists are ordered: the order
+/// fixes the dense node numbering.
+#[derive(Debug, Clone, Copy)]
 pub enum Source {
-    /// Ingested from files.
-    Files {
-        /// Ordered file list (order fixes the dense node numbering).
-        files: Vec<FileSpec>,
+    /// The real upstream distribution, read from `<data-dir>/<name>/`
+    /// where it was placed by hand (this build has no network stack).
+    /// Not checksummed: the published reference stats gate it.
+    Upstream {
+        /// Where to download the files.
+        url: &'static str,
+        /// The files to place, in ingestion order.
+        files: &'static [FileSpec],
     },
-    /// Synthesized by the Table II stand-in generator.
+    /// A synthetic surrogate generated in-repo by `gen_fixtures`, read
+    /// and checksummed in place under `crates/datasets/fixtures/` (or
+    /// `$CPGAN_FIXTURES`). Contains no upstream data.
+    Fixture {
+        /// The vendored files, in ingestion order.
+        files: &'static [PinnedFile],
+    },
+    /// Synthesized at load time by the Table II stand-in generator.
     Synthetic {
         /// The stand-in's spec (published stats + synthesizer knobs).
         spec: &'static DatasetSpec,
     },
+}
+
+impl Source {
+    /// What the graph data is, as `cpgan data list` prints it: `real`,
+    /// `surrogate` or `synthetic`.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Source::Upstream { .. } => "real",
+            Source::Fixture { .. } => "surrogate",
+            Source::Synthetic { .. } => "synthetic",
+        }
+    }
 }
 
 /// One registry entry.
@@ -147,9 +136,6 @@ pub struct DatasetEntry {
     /// Display name for rendered tables; surrogate/stand-in entries carry
     /// the suffix so no table can silently present them as real data.
     pub title: String,
-    /// What the graph data is (real upstream / in-repo surrogate /
-    /// synthesized stand-in).
-    pub data: DataProvenance,
     /// License / terms-of-use note (for surrogates: where the generator
     /// lives — there is no upstream license because there is no upstream
     /// data).
@@ -160,35 +146,18 @@ pub struct DatasetEntry {
     pub reference: ReferenceStats,
     /// Per-stat verification tolerances.
     pub tol: Tolerances,
-    /// Files or synthesizer.
+    /// Where the graph comes from.
     pub source: Source,
 }
-
-impl DatasetEntry {
-    /// Whether this entry's graph is generated rather than real upstream
-    /// data (true for fixture surrogates and `-synthetic` stand-ins).
-    pub fn is_synthetic(&self) -> bool {
-        !self.data.is_real_data()
-    }
-
-    /// Whether this entry is ingested from files (vs synthesized at load
-    /// time), independent of whether those files are real or surrogate.
-    pub fn is_file_backed(&self) -> bool {
-        matches!(self.source, Source::Files { .. })
-    }
-}
-
-/// SHA-256 of the vendored `citeseer.cites` surrogate fixture.
-pub const CITESEER_FIXTURE_SHA256: &str = FIXTURE_SHA256_CITESEER;
-/// SHA-256 of the vendored `cora-edges.txt` surrogate fixture.
-pub const CORA_FIXTURE_SHA256: &str = FIXTURE_SHA256_CORA;
 
 // Pinned by `cargo run -p cpgan-datasets --bin gen_fixtures`, which
 // regenerates the surrogate fixtures deterministically and prints their
 // digests and measured reference stats.
-const FIXTURE_SHA256_CITESEER: &str =
+/// SHA-256 of the vendored `citeseer.cites` surrogate fixture.
+pub const CITESEER_FIXTURE_SHA256: &str =
     "05e171669320022a9fd6c59c692bdc0bba4bcd46a191add73b404f2d4852d6bb";
-const FIXTURE_SHA256_CORA: &str =
+/// SHA-256 of the vendored `cora-edges.txt` surrogate fixture.
+pub const CORA_FIXTURE_SHA256: &str =
     "bf5c1614c82fa7f6dbcb575bee24217a36a2d9c25cb5ac60042ce9f2841b4981";
 
 static REGISTRY: OnceLock<Vec<DatasetEntry>> = OnceLock::new();
@@ -215,7 +184,6 @@ fn build() -> Vec<DatasetEntry> {
         DatasetEntry {
             name: "citeseer".to_string(),
             title: "Citeseer".to_string(),
-            data: DataProvenance::Upstream,
             license: "linqs.org CiteSeer collection — free for research use",
             home: "https://linqs.org/datasets/",
             // Paper Table II row.
@@ -236,21 +204,17 @@ fn build() -> Vec<DatasetEntry> {
                 // reachable pairs vs the published figure.
                 cpl: 1.0,
             },
-            source: Source::Files {
-                files: vec![FileSpec {
+            source: Source::Upstream {
+                url: "https://linqs-data.soe.ucsc.edu/public/lbc/citeseer.tgz",
+                files: &[FileSpec {
                     name: "citeseer.cites",
                     format: Format::LinqsCites,
-                    sha256: None,
-                    provenance: Provenance::Remote(
-                        "https://linqs-data.soe.ucsc.edu/public/lbc/citeseer.tgz",
-                    ),
                 }],
             },
         },
         DatasetEntry {
             name: "cora".to_string(),
             title: "Cora".to_string(),
-            data: DataProvenance::Upstream,
             license: "linqs.org Cora collection — free for research use",
             home: "https://linqs.org/datasets/",
             // Exemplar measurement table (SNIPPETS.md §Data Description);
@@ -270,21 +234,17 @@ fn build() -> Vec<DatasetEntry> {
                 pwe: 0.45,
                 cpl: 0.0,
             },
-            source: Source::Files {
-                files: vec![FileSpec {
+            source: Source::Upstream {
+                url: "https://linqs-data.soe.ucsc.edu/public/lbc/cora.tgz",
+                files: &[FileSpec {
                     name: "cora.cites",
                     format: Format::LinqsCites,
-                    sha256: None,
-                    provenance: Provenance::Remote(
-                        "https://linqs-data.soe.ucsc.edu/public/lbc/cora.tgz",
-                    ),
                 }],
             },
         },
         DatasetEntry {
             name: "epinions".to_string(),
             title: "Epinions".to_string(),
-            data: DataProvenance::Upstream,
             license: "SNAP soc-Epinions1 — open web data",
             home: "https://snap.stanford.edu/data/soc-Epinions1.html",
             reference: ReferenceStats {
@@ -304,21 +264,17 @@ fn build() -> Vec<DatasetEntry> {
                 pwe: 0.6,
                 cpl: 0.0,
             },
-            source: Source::Files {
-                files: vec![FileSpec {
+            source: Source::Upstream {
+                url: "https://snap.stanford.edu/data/soc-Epinions1.txt.gz",
+                files: &[FileSpec {
                     name: "soc-Epinions1.txt",
                     format: Format::SnapEdges,
-                    sha256: None,
-                    provenance: Provenance::Remote(
-                        "https://snap.stanford.edu/data/soc-Epinions1.txt.gz",
-                    ),
                 }],
             },
         },
         DatasetEntry {
             name: "google".to_string(),
             title: "Google".to_string(),
-            data: DataProvenance::Upstream,
             license: "SNAP web-Google — released for the 2002 Google programming contest",
             home: "https://snap.stanford.edu/data/web-Google.html",
             // Paper Table II row.
@@ -337,21 +293,17 @@ fn build() -> Vec<DatasetEntry> {
                 pwe: 0.6,
                 cpl: 1.5,
             },
-            source: Source::Files {
-                files: vec![FileSpec {
+            source: Source::Upstream {
+                url: "https://snap.stanford.edu/data/web-Google.txt.gz",
+                files: &[FileSpec {
                     name: "web-Google.txt",
                     format: Format::SnapEdges,
-                    sha256: None,
-                    provenance: Provenance::Remote(
-                        "https://snap.stanford.edu/data/web-Google.txt.gz",
-                    ),
                 }],
             },
         },
         DatasetEntry {
             name: "pubmed".to_string(),
             title: "PubMed".to_string(),
-            data: DataProvenance::Upstream,
             license: "linqs.org Pubmed-Diabetes collection — free for research use",
             home: "https://linqs.org/datasets/",
             // Paper Table II row.
@@ -370,14 +322,11 @@ fn build() -> Vec<DatasetEntry> {
                 pwe: 0.6,
                 cpl: 1.5,
             },
-            source: Source::Files {
-                files: vec![FileSpec {
+            source: Source::Upstream {
+                url: "https://linqs-data.soe.ucsc.edu/public/Pubmed-Diabetes.tgz",
+                files: &[FileSpec {
                     name: "Pubmed-Diabetes.DIRECTED.cites.tab",
                     format: Format::LinqsCites,
-                    sha256: None,
-                    provenance: Provenance::Remote(
-                        "https://linqs-data.soe.ucsc.edu/public/Pubmed-Diabetes.tgz",
-                    ),
                 }],
             },
         },
@@ -391,7 +340,6 @@ fn build() -> Vec<DatasetEntry> {
         DatasetEntry {
             name: "citeseer-fixture".to_string(),
             title: "Citeseer-fixture (synthetic surrogate)".to_string(),
-            data: DataProvenance::FixtureSurrogate,
             license: "generated in-repo by gen_fixtures — synthetic surrogate, no linqs data",
             home: "crates/datasets/src/bin/gen_fixtures.rs",
             reference: ReferenceStats {
@@ -403,19 +351,19 @@ fn build() -> Vec<DatasetEntry> {
                 cpl: Some(4.1331),
             },
             tol: FIXTURE_TOL,
-            source: Source::Files {
-                files: vec![FileSpec {
-                    name: "citeseer.cites",
-                    format: Format::LinqsCites,
-                    sha256: Some(FIXTURE_SHA256_CITESEER),
-                    provenance: Provenance::Vendored("citeseer.cites"),
+            source: Source::Fixture {
+                files: &[PinnedFile {
+                    file: FileSpec {
+                        name: "citeseer.cites",
+                        format: Format::LinqsCites,
+                    },
+                    sha256: CITESEER_FIXTURE_SHA256,
                 }],
             },
         },
         DatasetEntry {
             name: "cora-fixture".to_string(),
             title: "Cora-fixture (synthetic surrogate)".to_string(),
-            data: DataProvenance::FixtureSurrogate,
             license: "generated in-repo by gen_fixtures — synthetic surrogate, no linqs data",
             home: "crates/datasets/src/bin/gen_fixtures.rs",
             reference: ReferenceStats {
@@ -427,12 +375,13 @@ fn build() -> Vec<DatasetEntry> {
                 cpl: Some(CORA_FIXTURE_CPL),
             },
             tol: FIXTURE_TOL,
-            source: Source::Files {
-                files: vec![FileSpec {
-                    name: "cora-edges.txt",
-                    format: Format::SnapEdges,
-                    sha256: Some(FIXTURE_SHA256_CORA),
-                    provenance: Provenance::Vendored("cora-edges.txt"),
+            source: Source::Fixture {
+                files: &[PinnedFile {
+                    file: FileSpec {
+                        name: "cora-edges.txt",
+                        format: Format::SnapEdges,
+                    },
+                    sha256: CORA_FIXTURE_SHA256,
                 }],
             },
         },
@@ -443,7 +392,6 @@ fn build() -> Vec<DatasetEntry> {
         entries.push(DatasetEntry {
             name: format!("{}-synthetic", slug(spec.name)),
             title: format!("{} (synthetic stand-in)", spec.name),
-            data: DataProvenance::Synthesized,
             license: "synthesized in-repo (no external data)",
             home: "crates/data/src/datasets.rs",
             reference: ReferenceStats {
@@ -495,13 +443,12 @@ mod tests {
 
     #[test]
     fn resolves_every_provenance_uniformly() {
-        assert!(!resolve("citeseer").unwrap().is_synthetic());
+        let label = |name: &str| resolve(name).unwrap().source.label();
+        assert_eq!(label("citeseer"), "real");
         assert!(resolve("Citeseer").unwrap().name == "citeseer");
-        assert!(resolve("citeseer-fixture").unwrap().is_synthetic());
-        assert!(resolve("citeseer-fixture").unwrap().is_file_backed());
-        assert!(resolve("citeseer-synthetic").unwrap().is_synthetic());
-        assert!(!resolve("citeseer-synthetic").unwrap().is_file_backed());
-        assert!(resolve("3d-point-cloud-synthetic").unwrap().is_synthetic());
+        assert_eq!(label("citeseer-fixture"), "surrogate");
+        assert_eq!(label("citeseer-synthetic"), "synthetic");
+        assert_eq!(label("3d-point-cloud-synthetic"), "synthetic");
         assert!(resolve("nope").is_err());
     }
 
@@ -526,30 +473,9 @@ mod tests {
     }
 
     #[test]
-    fn no_upstream_entry_is_backed_by_a_vendored_file() {
-        // The provenance honesty invariant: vendored fixtures are
-        // surrogates, never presented as upstream data.
-        for e in registry() {
-            if let Source::Files { files } = &e.source {
-                for f in files {
-                    if matches!(f.provenance, Provenance::Vendored(_)) {
-                        assert_eq!(
-                            e.data,
-                            DataProvenance::FixtureSurrogate,
-                            "{} vendored file presented as {:?}",
-                            e.name,
-                            e.data
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn surrogate_entries_are_labeled_in_every_display_field() {
         for e in registry() {
-            if e.data == DataProvenance::FixtureSurrogate {
+            if matches!(e.source, Source::Fixture { .. }) {
                 assert!(e.title.contains("synthetic surrogate"), "{}", e.title);
                 assert!(e.license.contains("synthetic surrogate"), "{}", e.license);
                 assert!(e.name.ends_with("-fixture"), "{}", e.name);

@@ -1,92 +1,21 @@
-//! Local dataset cache, fetching, and the uniform load path.
+//! The uniform load path: [`load`] turns any registry entry — real or
+//! synthetic — into a graph, reading each file where it lives. Loading
+//! writes nothing to disk.
 //!
-//! The cache directory is `$CPGAN_DATA_DIR` (falling back to
-//! `./data-cache`), one subdirectory per dataset. `fetch` places files
-//! there and verifies checksums; `load` is the single entry point that
-//! turns any registry entry — real or synthetic — into a graph.
-//!
-//! This build has no network stack, so remote files are never downloaded:
-//! a missing one is a typed [`DatasetError::ManualDownload`] naming its
-//! source and where in the cache to put it. The vendored
-//! `citeseer-fixture`/`cora-fixture` surrogates (synthetic graphs
-//! generated in-repo — not linqs data) make tests and CI fully
-//! self-contained; the real upstream entries require manually downloaded
-//! files.
+//! Upstream files are read from `<data-dir>/<name>/`, where the data
+//! directory is `--data-dir`, else `$CPGAN_DATA_DIR`, else
+//! `./data-cache`. This build has no network stack, so a missing one is
+//! a typed [`DatasetError::ManualDownload`] naming its URL and the path
+//! to place it at. The vendored `citeseer-fixture`/`cora-fixture`
+//! surrogates (synthetic graphs generated in-repo — not linqs data) are
+//! read and checksummed in place, which makes tests and CI fully
+//! self-contained.
 
-use crate::registry::{DatasetEntry, Provenance, Source};
-use crate::{formats, sha256, DatasetError, IngestStats};
+use crate::registry::{DatasetEntry, Source};
+use crate::{formats, sha256, DatasetError, Format, IngestStats};
 use cpgan_data::datasets;
 use cpgan_graph::Graph;
 use std::path::{Path, PathBuf};
-
-/// The on-disk dataset cache.
-#[derive(Debug, Clone)]
-pub struct Cache {
-    root: PathBuf,
-}
-
-impl Cache {
-    /// Resolves the cache root: `explicit` > `$CPGAN_DATA_DIR` >
-    /// `./data-cache`.
-    pub fn resolve(explicit: Option<&Path>) -> Cache {
-        let root = explicit.map(Path::to_path_buf).unwrap_or_else(|| {
-            std::env::var_os("CPGAN_DATA_DIR")
-                .map(PathBuf::from)
-                .unwrap_or_else(|| PathBuf::from("data-cache"))
-        });
-        Cache { root }
-    }
-
-    /// The cache root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// Where `file` of `dataset` lives inside the cache.
-    pub fn file_path(&self, dataset: &str, file: &str) -> PathBuf {
-        self.root.join(dataset).join(file)
-    }
-
-    /// Dataset subdirectories currently present, sorted (scanning a
-    /// directory without sorting is exactly what the `unsorted-dir-walk`
-    /// lint forbids).
-    pub fn scan(&self) -> Result<Vec<String>, DatasetError> {
-        if !self.root.is_dir() {
-            return Ok(Vec::new());
-        }
-        let rd = std::fs::read_dir(&self.root).map_err(|e| DatasetError::io(&self.root, e))?;
-        let mut names = Vec::new();
-        for entry in rd {
-            let entry = entry.map_err(|e| DatasetError::io(&self.root, e))?;
-            let path = entry.path();
-            if path.is_dir() {
-                if let Some(name) = path.file_name().and_then(|s| s.to_str()) {
-                    names.push(name.to_string());
-                }
-            }
-        }
-        names.sort();
-        Ok(names)
-    }
-}
-
-/// What `fetch` did for one file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FetchAction {
-    /// Present in the cache with a matching checksum.
-    AlreadyCached,
-    /// Copied from the vendored fixture set and checksum-verified.
-    CopiedFixture,
-}
-
-/// Per-file fetch report.
-#[derive(Debug, Clone)]
-pub struct FetchOutcome {
-    /// File name inside the dataset cache dir.
-    pub file: String,
-    /// What happened.
-    pub action: FetchAction,
-}
 
 /// Directory holding the vendored fixtures. Overridable via
 /// `$CPGAN_FIXTURES` for relocated checkouts; defaults to this crate's
@@ -97,54 +26,29 @@ fn fixtures_dir() -> PathBuf {
         .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures"))
 }
 
-/// Ensures every file of `entry` is present in `cache` with a verified
-/// checksum. Synthetic entries need no files and return an empty list.
-pub fn fetch(entry: &DatasetEntry, cache: &Cache) -> Result<Vec<FetchOutcome>, DatasetError> {
-    let Source::Files { files } = &entry.source else {
-        return Ok(Vec::new());
-    };
-    let mut outcomes = Vec::with_capacity(files.len());
-    for file in files {
-        let dest = cache.file_path(&entry.name, file.name);
-        let action = if dest.is_file() {
-            verify_checksum(&dest, file.sha256)?;
-            FetchAction::AlreadyCached
-        } else {
-            match file.provenance {
-                Provenance::Vendored(fixture) => {
-                    let src = fixtures_dir().join(fixture);
-                    if !src.is_file() {
-                        return Err(DatasetError::MissingFixture {
-                            path: src.display().to_string(),
-                        });
-                    }
-                    if let Some(parent) = dest.parent() {
-                        std::fs::create_dir_all(parent).map_err(|e| DatasetError::io(parent, e))?;
-                    }
-                    std::fs::copy(&src, &dest).map_err(|e| DatasetError::io(&dest, e))?;
-                    verify_checksum(&dest, file.sha256)?;
-                    FetchAction::CopiedFixture
-                }
-                Provenance::Remote(url) => {
-                    return Err(DatasetError::ManualDownload {
-                        url: url.to_string(),
-                        dest: dest.display().to_string(),
-                    });
-                }
-            }
-        };
-        outcomes.push(FetchOutcome {
-            file: file.name.to_string(),
-            action,
-        });
+/// Where `entry`'s files are read from, in ingestion order:
+/// `<data-dir>/<name>/<file>` for upstream entries, the fixtures
+/// directory for fixtures, and nothing for synthetic entries.
+/// `data_dir` overrides `$CPGAN_DATA_DIR` / `./data-cache`.
+pub fn file_paths(entry: &DatasetEntry, data_dir: Option<&Path>) -> Vec<PathBuf> {
+    match entry.source {
+        Source::Upstream { files, .. } => {
+            let dir = data_dir
+                .map(Path::to_path_buf)
+                .or_else(|| std::env::var_os("CPGAN_DATA_DIR").map(PathBuf::from))
+                .unwrap_or_else(|| PathBuf::from("data-cache"))
+                .join(&entry.name);
+            files.iter().map(|f| dir.join(f.name)).collect()
+        }
+        Source::Fixture { files } => {
+            let dir = fixtures_dir();
+            files.iter().map(|f| dir.join(f.file.name)).collect()
+        }
+        Source::Synthetic { .. } => Vec::new(),
     }
-    Ok(outcomes)
 }
 
-fn verify_checksum(path: &Path, expected: Option<&str>) -> Result<(), DatasetError> {
-    let Some(expected) = expected else {
-        return Ok(()); // remote file with unknown digest: stats still gate it
-    };
+fn verify_checksum(path: &Path, expected: &str) -> Result<(), DatasetError> {
     let actual = sha256::hex_digest_file(path)?;
     if actual != expected {
         return Err(DatasetError::ChecksumMismatch {
@@ -159,7 +63,8 @@ fn verify_checksum(path: &Path, expected: Option<&str>) -> Result<(), DatasetErr
 /// Options for [`load`].
 #[derive(Debug, Clone)]
 pub struct LoadOptions {
-    /// Cache root override (else `$CPGAN_DATA_DIR` / `./data-cache`).
+    /// Directory holding upstream files (else `$CPGAN_DATA_DIR` /
+    /// `./data-cache`).
     pub data_dir: Option<PathBuf>,
     /// Synthetic entries only: size divisor (1 = full scale).
     pub scale: usize,
@@ -194,38 +99,57 @@ pub struct LoadedDataset {
     pub ingest: Option<IngestStats>,
 }
 
-/// Loads `entry` into a graph: fetch + checksum + streaming ingest for
-/// file-backed datasets (upstream or surrogate), deterministic synthesis
-/// for stand-ins.
+/// Loads `entry` into a graph: streaming ingest of its files where they
+/// live (fixtures checksummed first), or deterministic synthesis for
+/// stand-ins.
 pub fn load(entry: &DatasetEntry, opts: &LoadOptions) -> Result<LoadedDataset, DatasetError> {
-    match &entry.source {
-        Source::Files { files } => {
-            let cache = Cache::resolve(opts.data_dir.as_deref());
-            fetch(entry, &cache)?;
-            let paths: Vec<(PathBuf, crate::Format)> = files
-                .iter()
-                .map(|f| (cache.file_path(&entry.name, f.name), f.format))
-                .collect();
-            let ingested = formats::ingest_files(&paths)?;
-            Ok(LoadedDataset {
-                name: entry.name.clone(),
-                title: entry.title.clone(),
-                graph: ingested.graph,
-                communities: None,
-                node_labels: ingested.labels,
-                ingest: Some(ingested.stats),
-            })
+    let paths = file_paths(entry, opts.data_dir.as_deref());
+    let inputs: Vec<(PathBuf, Format)> = match entry.source {
+        Source::Upstream { url, files } => {
+            if let Some(missing) = paths.iter().find(|p| !p.is_file()) {
+                return Err(DatasetError::ManualDownload {
+                    url: url.to_string(),
+                    dest: missing.display().to_string(),
+                });
+            }
+            paths
+                .into_iter()
+                .zip(files.iter().map(|f| f.format))
+                .collect()
+        }
+        Source::Fixture { files } => {
+            for (path, pinned) in paths.iter().zip(files) {
+                if !path.is_file() {
+                    return Err(DatasetError::MissingFixture {
+                        path: path.display().to_string(),
+                    });
+                }
+                verify_checksum(path, pinned.sha256)?;
+            }
+            paths
+                .into_iter()
+                .zip(files.iter().map(|f| f.file.format))
+                .collect()
         }
         Source::Synthetic { spec } => {
             let ds = datasets::synthesize(spec, opts.scale.max(1), opts.seed);
-            Ok(LoadedDataset {
+            return Ok(LoadedDataset {
                 name: entry.name.clone(),
                 title: entry.title.clone(),
                 graph: ds.graph,
                 communities: Some(ds.labels),
                 node_labels: None,
                 ingest: None,
-            })
+            });
         }
-    }
+    };
+    let ingested = formats::ingest_files(&inputs)?;
+    Ok(LoadedDataset {
+        name: entry.name.clone(),
+        title: entry.title.clone(),
+        graph: ingested.graph,
+        communities: None,
+        node_labels: ingested.labels,
+        ingest: Some(ingested.stats),
+    })
 }

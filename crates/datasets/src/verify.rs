@@ -4,11 +4,11 @@
 //! degree Gini, power-law exponent, characteristic path length — on a
 //! loaded graph and diffs each against the entry's reference value under
 //! that entry's per-stat tolerance. What the reference *is* depends on
-//! the entry's [`crate::registry::DataProvenance`]:
+//! the entry's [`crate::registry::Source`]:
 //!
 //! * **upstream** entries diff against the published Table II (or
 //!   exemplar-table) values — a real-graph fidelity check, runnable once
-//!   the real files are placed in the cache;
+//!   the real files are placed in the data directory;
 //! * **fixture surrogates** diff against measurements recorded when the
 //!   fixture was generated — an ingestion-fidelity gate (parsers,
 //!   interning, symmetrization, CSR build must reproduce the recorded
@@ -28,6 +28,7 @@
 use crate::registry::DatasetEntry;
 use cpgan_graph::stats::{gini, path, powerlaw};
 use cpgan_graph::Graph;
+use serde::Serialize;
 
 /// Default BFS-source cap for the CPL measurement. 512 evenly-spaced
 /// sources keep verification fast on large graphs while staying exact on
@@ -35,7 +36,7 @@ use cpgan_graph::Graph;
 pub const DEFAULT_CPL_SOURCES: usize = 512;
 
 /// One reference-vs-measured comparison.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StatCheck {
     /// Stat name (`n`, `m`, `mean_degree`, `gini`, `pwe`, `cpl`).
     pub stat: &'static str,
@@ -50,21 +51,19 @@ pub struct StatCheck {
     pub pass: bool,
 }
 
-/// The full verification report for one dataset.
-#[derive(Debug, Clone, PartialEq)]
+/// The full verification report for one dataset; `cpgan data verify
+/// --report` writes it as JSON.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VerifyReport {
     /// Registry name of the dataset.
     pub dataset: String,
+    /// Whether every check passed.
+    pub passed: bool,
     /// Every comparison performed, registry order.
     pub checks: Vec<StatCheck>,
 }
 
 impl VerifyReport {
-    /// Whether every check passed.
-    pub fn passed(&self) -> bool {
-        self.checks.iter().all(|c| c.pass)
-    }
-
     /// Human-readable fixed-width table.
     pub fn render(&self) -> String {
         let mut out = format!(
@@ -83,28 +82,8 @@ impl VerifyReport {
         }
         out.push_str(&format!(
             "  result: {}\n",
-            if self.passed() { "PASS" } else { "FAIL" }
+            if self.passed { "PASS" } else { "FAIL" }
         ));
-        out
-    }
-
-    /// Machine-readable JSON (one object, checks as an array).
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"dataset\":\"{}\",\"passed\":{},\"checks\":[",
-            self.dataset,
-            self.passed()
-        );
-        for (i, c) in self.checks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"stat\":\"{}\",\"reference\":{},\"measured\":{},\"tolerance\":{},\"pass\":{}}}",
-                c.stat, c.reference, c.measured, c.tolerance, c.pass
-            ));
-        }
-        out.push_str("]}");
         out
     }
 }
@@ -147,6 +126,7 @@ pub fn verify(entry: &DatasetEntry, g: &Graph, cpl_sources: usize) -> VerifyRepo
     }
     VerifyReport {
         dataset: entry.name.clone(),
+        passed: checks.iter().all(|c| c.pass),
         checks,
     }
 }
@@ -157,19 +137,30 @@ mod tests {
 
     #[test]
     fn report_renders_and_serializes() {
-        let report = VerifyReport {
-            dataset: "toy".to_string(),
-            checks: vec![check("n", 4.0, 4.0, 0.0), check("gini", 0.5, 0.9, 0.1)],
-        };
-        assert!(!report.passed());
+        // A 4-node path checked against the citeseer fixture's recorded
+        // stats: the size checks fail, so the report does.
+        let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
+        let entry = crate::resolve("citeseer-fixture").unwrap();
+        let report = verify(entry, &g, DEFAULT_CPL_SOURCES);
+        assert!(!report.passed);
         let text = report.render();
         assert!(text.contains("FAIL"));
-        assert!(text.contains("verify toy"));
+        assert!(text.contains("verify citeseer-fixture"));
         assert!(text.contains("reference"));
-        let json = report.to_json();
-        assert!(json.contains("\"passed\":false"));
-        assert!(json.contains("\"stat\":\"gini\""));
-        assert!(json.contains("\"reference\":0.5"));
+        let value = serde::Serialize::to_value(&report);
+        assert_eq!(value.get("passed"), Some(&serde::Value::Bool(false)));
+        let checks = match value.get("checks") {
+            Some(serde::Value::Array(checks)) => checks,
+            other => panic!("checks must be an array, got {other:?}"),
+        };
+        assert_eq!(checks.len(), report.checks.len());
+        let n = &checks[0];
+        assert_eq!(n.get("stat"), Some(&serde::Value::Str("n".to_string())));
+        assert_eq!(
+            n.get("reference").and_then(serde::Value::as_f64),
+            Some(3327.0)
+        );
+        assert_eq!(n.get("measured").and_then(serde::Value::as_f64), Some(4.0));
     }
 
     #[test]

@@ -46,8 +46,11 @@ fn design_section_documents_the_checksum_and_offline_model() {
         "crates/datasets/fixtures/",
         "gen_fixtures",
         "data-verify",
-        "DataProvenance",
-        "FixtureSurrogate",
+        "Source::Upstream",
+        "Source::Fixture",
+        "Source::Synthetic",
+        "CPGAN_FIXTURES",
+        "writes nothing",
     ] {
         assert!(s.contains(item), "DESIGN.md §15 must mention `{item}`");
     }

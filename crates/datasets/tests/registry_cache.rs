@@ -1,35 +1,33 @@
-//! Registry + cache integration: fetch/checksum behaviour on
-//! temp-dir caches, the uniform load path across provenance classes, and
-//! the headline acceptance check — `verify` passes on the vendored
-//! surrogate fixtures within the recorded-reference tolerances,
-//! bit-identically at any thread count.
+//! Registry + load-path integration: every entry loads from where its
+//! files live and writes nothing, a missing upstream file names where to
+//! place it, the load path is uniform across kinds of source, and the
+//! headline acceptance check — `verify` passes on the vendored surrogate
+//! fixtures within the recorded-reference tolerances, bit-identically at
+//! any thread count. (An altered fixture is tested in
+//! `fixture_checksum.rs`, which sets the process-wide `CPGAN_FIXTURES`.)
 
 // Integration-test helpers sit outside `#[test]` fns, so the
 // allow-panic-in-tests carve-out does not reach them.
 #![allow(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 
-use cpgan_datasets::{fetch, load, resolve, verify, Cache, DatasetError, FetchAction, LoadOptions};
+use cpgan_datasets::{load, resolve, verify, DatasetError, LoadOptions};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A unique scratch cache root, removed on drop.
+/// A unique scratch data directory, removed on drop.
 struct Scratch(PathBuf);
 
 impl Scratch {
     fn new(tag: &str) -> Scratch {
         static SEQ: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
-            "cpgan-cache-{tag}-{}-{}",
+            "cpgan-data-{tag}-{}-{}",
             std::process::id(),
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         fs::create_dir_all(&dir).unwrap();
         Scratch(dir)
-    }
-
-    fn cache(&self) -> Cache {
-        Cache::resolve(Some(&self.0))
     }
 
     fn opts(&self) -> LoadOptions {
@@ -47,61 +45,28 @@ impl Drop for Scratch {
 }
 
 #[test]
-fn fetch_copies_fixture_then_reports_cached() {
-    let tmp = Scratch::new("fetch");
-    let entry = resolve("citeseer-fixture").unwrap();
-    let cache = tmp.cache();
-
-    let first = fetch(entry, &cache).unwrap();
-    assert_eq!(first.len(), 1);
-    assert_eq!(first[0].action, FetchAction::CopiedFixture);
-    assert!(cache
-        .file_path("citeseer-fixture", "citeseer.cites")
-        .is_file());
-    assert_eq!(cache.scan().unwrap(), vec!["citeseer-fixture".to_string()]);
-
-    let second = fetch(entry, &cache).unwrap();
-    assert_eq!(second[0].action, FetchAction::AlreadyCached);
-}
-
-#[test]
-fn corrupted_cache_file_fails_checksum() {
-    let tmp = Scratch::new("corrupt");
-    let entry = resolve("citeseer-fixture").unwrap();
-    let cache = tmp.cache();
-    let dest = cache.file_path("citeseer-fixture", "citeseer.cites");
-    fs::create_dir_all(dest.parent().unwrap()).unwrap();
-    fs::write(&dest, "0 1\n").unwrap();
-
-    let err = fetch(entry, &cache).unwrap_err();
-    match err {
-        DatasetError::ChecksumMismatch {
-            expected, actual, ..
-        } => {
-            assert_eq!(expected, cpgan_datasets::registry::CITESEER_FIXTURE_SHA256);
-            assert_ne!(expected, actual);
-        }
-        other => panic!("expected a checksum mismatch, got {other:?}"),
+fn loading_leaves_the_data_dir_empty() {
+    let tmp = Scratch::new("no-write");
+    for name in ["citeseer-fixture", "cora-fixture", "citeseer-synthetic"] {
+        load(resolve(name).unwrap(), &tmp.opts()).unwrap();
     }
+    let left: Vec<_> = fs::read_dir(&tmp.0).unwrap().collect();
+    assert!(left.is_empty(), "loading wrote {left:?}");
 }
 
 #[test]
 fn missing_remote_files_name_their_cache_path() {
     let tmp = Scratch::new("remote");
-    let cache = tmp.cache();
 
-    // Every upstream entry is remote in this build — including citeseer,
-    // whose vendored surrogate lives under `citeseer-fixture` instead.
-    for name in ["google", "citeseer"] {
+    // Every upstream entry is placed by hand — including citeseer, whose
+    // vendored surrogate lives under `citeseer-fixture` instead.
+    for (name, file) in [("google", "web-Google.txt"), ("citeseer", "citeseer.cites")] {
         let entry = resolve(name).unwrap();
-        let err = fetch(entry, &cache).unwrap_err();
+        let err = load(entry, &tmp.opts()).unwrap_err();
         let DatasetError::ManualDownload { dest, .. } = &err else {
             panic!("{name}: expected a manual-download error, got {err:?}");
         };
-        assert!(
-            dest.starts_with(&tmp.0.join(name).display().to_string()),
-            "{dest}"
-        );
+        assert_eq!(*dest, tmp.0.join(name).join(file).display().to_string());
         assert!(err.to_string().contains(dest.as_str()), "{err}");
     }
 }
@@ -117,8 +82,7 @@ fn unknown_dataset_is_typed() {
 
 #[test]
 fn load_resolves_file_backed_and_synthetic_uniformly() {
-    let tmp = Scratch::new("uniform");
-    let opts = tmp.opts();
+    let opts = LoadOptions::default();
 
     let fixture = load(resolve("citeseer-fixture").unwrap(), &opts).unwrap();
     assert_eq!(fixture.graph.n(), 3327);
@@ -135,20 +99,18 @@ fn load_resolves_file_backed_and_synthetic_uniformly() {
 
 #[test]
 fn vendored_fixtures_verify_within_recorded_tolerances() {
-    let tmp = Scratch::new("verify");
-    let opts = tmp.opts();
+    let opts = LoadOptions::default();
     for name in ["citeseer-fixture", "cora-fixture"] {
         let entry = resolve(name).unwrap();
         let ds = load(entry, &opts).unwrap();
         let report = verify(entry, &ds.graph, cpgan_datasets::DEFAULT_CPL_SOURCES);
-        assert!(report.passed(), "{name} failed:\n{}", report.render());
+        assert!(report.passed, "{name} failed:\n{}", report.render());
     }
 }
 
 #[test]
 fn verify_report_is_bit_identical_across_thread_counts() {
-    let tmp = Scratch::new("verify-threads");
-    let opts = tmp.opts();
+    let opts = LoadOptions::default();
     let entry = resolve("citeseer-fixture").unwrap();
     let run = |threads: usize| {
         cpgan_parallel::with_thread_count(threads, || {

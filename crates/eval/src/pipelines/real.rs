@@ -98,8 +98,8 @@ pub fn run_on_graph(cfg: &EvalConfig, title: &str, observed: Graph) -> Table {
     table
 }
 
-/// Resolves `name` in the dataset registry, loads (fetch + checksum +
-/// ingest, or synthesize), verifies published stats, and evaluates every
+/// Resolves `name` in the dataset registry, loads it (ingest in place,
+/// or synthesize), verifies its reference stats, and evaluates every
 /// generator on the loaded graph.
 pub fn run(
     cfg: &EvalConfig,

@@ -6,9 +6,9 @@
 //! reproduction runs on CPU, so we track the same quantity — the live byte
 //! footprint of tensor allocations — with global atomic counters updated by
 //! every [`crate::Matrix`] allocation and drop. Experiments call
-//! [`reset_peak`] before a training run and [`peak_bytes`] after, and may set
-//! a budget with [`set_budget`] so that over-budget models report "OOM"
-//! exactly like the paper's 24 GB GPU does.
+//! [`reset_peak`] before a training run and [`peak_bytes`] after (Table IX).
+//! Whether a model would run out of the paper's 24 GB GPU is decided
+//! before it runs, by `cpgan_eval::budget::would_oom`, not here.
 //!
 //! # Buffer pool
 //!
@@ -36,7 +36,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
-static BUDGET: AtomicUsize = AtomicUsize::new(usize::MAX);
 
 /// Registers an allocation of `bytes`.
 #[inline]
@@ -64,22 +63,6 @@ pub fn peak_bytes() -> usize {
 /// Resets the peak to the current live footprint.
 pub fn reset_peak() {
     PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
-}
-
-/// Sets the simulated device budget in bytes (`usize::MAX` = unlimited).
-pub fn set_budget(bytes: usize) {
-    BUDGET.store(bytes, Ordering::Relaxed);
-}
-
-/// The configured budget in bytes.
-pub fn budget() -> usize {
-    BUDGET.load(Ordering::Relaxed)
-}
-
-/// Whether the peak footprint has exceeded the configured budget — the
-/// reproduction's "OOM" signal for Tables III/IV/VII–IX.
-pub fn over_budget() -> bool {
-    peak_bytes() > budget()
 }
 
 // ---------------------------------------------------------------------------
@@ -275,14 +258,6 @@ mod tests {
         assert!(peak_bytes() >= before + 64 * 64 * 4);
         drop(m);
         assert!(live_bytes() <= peak_bytes());
-    }
-
-    #[test]
-    fn budget_signalling() {
-        let old = budget();
-        set_budget(usize::MAX);
-        assert!(!over_budget());
-        set_budget(old);
     }
 
     #[test]

@@ -209,6 +209,11 @@ impl Server {
         self.shared.workers
     }
 
+    /// Generation jobs the queue holds before admission answers `429`.
+    pub fn queue_depth(&self) -> usize {
+        self.shared.queue.capacity()
+    }
+
     /// Gracefully drains the server: stops accepting, answers everything
     /// already admitted, and joins all threads. Equivalent to dropping
     /// the server, spelled out for call sites that mean it.
