@@ -28,6 +28,12 @@ fn main() {
     );
     let (report, table) =
         real::run(&cfg, name, &opts).unwrap_or_else(|e| bench::fail(&format!("table_real: {e}")));
+    if let Some(note) = cpgan_datasets::resolve(name)
+        .ok()
+        .and_then(|entry| real::scale_note(entry, &opts))
+    {
+        println!("{note}");
+    }
     println!("{}", report.render());
     println!("{}", table.render());
     cpgan_eval::report::maybe_write_json(args.get("json"), &table);

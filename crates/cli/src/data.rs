@@ -8,9 +8,10 @@
 //! ```
 //!
 //! The action and the dataset names are positionals of the shared parser;
-//! `--scale S` and `--seed S` size the synthetic entries. Every action
-//! reads the entry's files where they live and writes nothing but the
-//! `--report`/`--output` file it was asked for.
+//! `--scale S` and `--seed S` size the synthetic entries. `verify` refuses
+//! a `--scale` other than 1: the reference stats it checks are full-scale.
+//! Every action reads the entry's files where they live and writes nothing
+//! but the `--report`/`--output` file it was asked for.
 
 use cpgan_cli::args::Args;
 use cpgan_datasets::{file_paths, load, registry, verify, LoadOptions};
@@ -71,6 +72,13 @@ fn list(opts: &LoadOptions) -> Result<(), String> {
 }
 
 fn do_verify(opts: &LoadOptions, names: &[String], report: Option<String>) -> Result<(), String> {
+    if opts.scale != 1 {
+        return Err(format!(
+            "data verify: --scale {} cannot pass: the reference stats are full-scale, \
+             so verify only runs at --scale 1",
+            opts.scale
+        ));
+    }
     let mut reports = Vec::new();
     let mut all_pass = true;
     for name in names {

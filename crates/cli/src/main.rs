@@ -54,7 +54,8 @@ fn usage() -> &'static str {
      [--epochs N] [--sample-size N] [--seed S]\n  \
      cpgan data     list | verify <name> [--report PATH] | stats <name>\n                 \
      | ingest <name> --output <edge-list>   (all: [--data-dir DIR];\n                 \
-     synthetic entries: [--scale S] [--seed S]; see DESIGN.md \u{a7}15)\n\n\
+     synthetic entries: [--scale S] [--seed S], verify at S = 1 only;\n                 \
+     see DESIGN.md \u{a7}15)\n\n\
      any subcommand also accepts:\n  \
      --threads N     worker threads for parallel kernels (same as CPGAN_THREADS=N;\n                  \
      for serve: threads per in-flight generation, see DESIGN.md \u{a7}11)\n  \

@@ -341,4 +341,32 @@ fn data_errors_say_what_to_do() {
         stderr(&out)
     );
     assert!(!data.join("citeseer").exists(), "nothing is created for it");
+
+    // A scaled stand-in cannot match full-scale reference stats: refused
+    // by name before anything is loaded (a missing upstream entry would
+    // otherwise fail on its files).
+    for (name, scale) in [
+        ("citeseer-synthetic", "4"),
+        ("citeseer", "2"),
+        ("cora-fixture", "0"),
+    ] {
+        let out = run(&[
+            "data",
+            "verify",
+            name,
+            "--scale",
+            scale,
+            "--data-dir",
+            data.to_str().unwrap(),
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{name} --scale {scale}");
+        let err = stderr(&out);
+        assert!(err.contains(&format!("--scale {scale}")), "{err}");
+        assert!(
+            err.contains("full-scale") && !err.contains("missing"),
+            "{err}"
+        );
+    }
+    let out = run(&["data", "verify", "citeseer-synthetic", "--scale", "1"]);
+    assert!(out.status.success(), "{}", stderr(&out));
 }

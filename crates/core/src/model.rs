@@ -6,7 +6,7 @@ use crate::decoder::GraphDecoder;
 use crate::discriminator::Discriminator;
 use crate::encoder::{AdjInput, EncoderOutput, LadderEncoder};
 use crate::error::{model_panic, ModelError};
-use crate::sampling::weighted_prefix_shuffle;
+use crate::sampling::NodeDraw;
 use crate::vi::VariationalInference;
 use cpgan_community::louvain;
 use cpgan_graph::sampling::SubgraphSampler;
@@ -525,27 +525,31 @@ impl CpGan {
         let max_rounds = (rounds_estimate as usize) * 8 + 16;
         let mut round = 0;
         // Degree-proportional node sampling when degrees are known.
-        let weights: Vec<f64> = match posterior {
+        let mut draw = NodeDraw::new(match posterior {
             Some(s) => s.degrees.clone(),
             None => vec![1.0; n],
-        };
-        let mut ids: Vec<NodeId> = (0..n as NodeId).collect();
+        });
         let mut work = DecodeWork::default();
         while !asm.is_complete() && round < max_rounds {
             round += 1;
-            // Degree-proportional without replacement for the first `ns`
-            // slots.
-            weighted_prefix_shuffle(&mut ids, &weights, ns, rng);
-            let nodes: Vec<NodeId> = ids[..ns].to_vec();
-            let mut noise_rng = StdRng::seed_from_u64(rng.gen());
+            // Degree-proportional without replacement, `ns` nodes a round.
+            let nodes = {
+                let _span = cpgan_obs::span("core.generate.draw");
+                draw.draw(ns, rng)
+            };
+            // Drawn every round, decoded or not, so the stream never
+            // depends on which rows a round decodes.
+            let noise_seed: u64 = rng.gen();
             match posterior {
                 Some(state) => {
-                    let eps = cpgan_nn::init::standard_normal(&mut noise_rng, ns, state.mu.cols());
+                    // The merge decodes the rows it reads through the
+                    // closure, so `.noise` and `.decode` nest in `.merge`.
+                    let _span = cpgan_obs::span("core.generate.merge");
                     let mut decodes = 0;
-                    asm.add_subgraph_decoded(&nodes, per_round, rng, |rows| {
+                    asm.add_subgraph_decoded(nodes, per_round, rng, |rows| {
                         decodes += 1;
                         work.rows_decoded += rows.len();
-                        self.decode_posterior_rows(state, &nodes, &eps, rows)
+                        self.decode_posterior_rows(state, nodes, noise_seed, rows)
                     });
                     match decodes {
                         0 => work.rounds_skipped += 1,
@@ -557,10 +561,18 @@ impl CpGan {
                     // No budgets, so every row is live: the round decodes
                     // all of them straight from the prior, with no copy.
                     let tape = Tape::new();
-                    let z = self.vi.sample_prior(&tape, ns, &mut noise_rng);
-                    let probs = self.decode_logits(&tape, &z).sigmoid().value();
+                    let z = {
+                        let _span = cpgan_obs::span("core.generate.noise");
+                        let mut noise_rng = StdRng::seed_from_u64(noise_seed);
+                        self.vi.sample_prior(&tape, ns, &mut noise_rng)
+                    };
+                    let probs = {
+                        let _span = cpgan_obs::span("core.generate.decode");
+                        self.decode_logits(&tape, &z).sigmoid().value()
+                    };
                     work.rows_decoded += ns;
-                    asm.add_subgraph(&nodes, &probs, per_round, rng);
+                    let _span = cpgan_obs::span("core.generate.merge");
+                    asm.add_subgraph(nodes, &probs, per_round, rng);
                 }
             }
         }
@@ -571,23 +583,33 @@ impl CpGan {
         Ok(asm.build())
     }
 
-    /// Link probabilities among the local rows `rows` of one posterior
-    /// round: row `i` decodes `z_i = mu_v + sigma * eps_i` for its node
-    /// `v = nodes[i]`. Decoding works row by row and every product
-    /// accumulates in ascending-k order (DESIGN.md §10), so each entry has
-    /// the bits it has when all `n_s` rows are decoded.
+    /// Link probabilities among the local rows `rows` (ascending) of one
+    /// posterior round: row `i` decodes `z_i = mu_v + sigma * eps_i` for
+    /// its node `v = nodes[i]`, where `eps` is the round's `n_s x d`
+    /// standard-normal draw from `noise_seed`. Only the listed rows of
+    /// `eps` are computed (DESIGN.md §16). Decoding works row by row and
+    /// every product accumulates in ascending-k order (DESIGN.md §10), so
+    /// each entry has the bits it has when all `n_s` rows are decoded.
     fn decode_posterior_rows(
         &self,
         state: &SimState,
         nodes: &[NodeId],
-        eps: &Matrix,
+        noise_seed: u64,
         rows: &[usize],
     ) -> Matrix {
+        let mut z = {
+            let _span = cpgan_obs::span("core.generate.noise");
+            let mut noise_rng = StdRng::seed_from_u64(noise_seed);
+            cpgan_nn::init::standard_normal_rows(&mut noise_rng, state.mu.cols(), rows)
+        };
+        let _span = cpgan_obs::span("core.generate.decode");
+        for (k, &i) in rows.iter().enumerate() {
+            let mu = state.mu.row(nodes[i] as usize);
+            for ((z, &m), &s) in z.row_mut(k).iter_mut().zip(mu).zip(state.sigma.row(0)) {
+                *z = m + s * *z;
+            }
+        }
         let tape = Tape::new();
-        let z = Matrix::from_fn(rows.len(), state.mu.cols(), |k, c| {
-            let i = rows[k];
-            state.mu.get(nodes[i] as usize, c) + state.sigma.get(0, c) * eps.get(i, c)
-        });
         let z = tape.constant(z);
         self.decode_logits(&tape, &z).sigmoid().value()
     }

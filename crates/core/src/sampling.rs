@@ -1,5 +1,5 @@
-//! Degree-proportional node sampling (paper §III-E):
-//! [`weighted_prefix_shuffle`] is generation's per-round node draw.
+//! Degree-proportional node sampling (paper §III-E): [`NodeDraw`] is
+//! generation's per-round node draw.
 //!
 //! Subgraph sampling for training lives in [`cpgan_graph::sampling`] so the
 //! deep baselines (which do not depend on this crate) can share the exact
@@ -8,44 +8,81 @@
 use cpgan_graph::NodeId;
 use rand::Rng;
 
-/// Weighted partial shuffle: moves a weight-proportional draw without
-/// replacement of `ns` entries of `ids` to its front, in draw order.
-/// Entry `v` weighs `weights[v]`.
+/// Weight-proportional draws without replacement over one evolving order
+/// of the ids `0..n`, where id `v` weighs `weights[v]`: generation draws
+/// one round's nodes with [`NodeDraw::draw`], and the next round's draw
+/// starts from the order that one left.
 ///
-/// Each draw takes `x = u · total` and picks the first position `j ≥ i`
-/// whose running weight sum from `i` reaches `x` (position `i` itself when
-/// `x` is zero or no position reaches it), then swaps it into slot `i`.
-/// A Fenwick tree over the positions of `ids` finds that position in
-/// `O(log n)`, with consumed positions holding 0.
+/// A draw of `ns` ids moves them to the front of the order, in draw order.
+/// Its `i`-th pick takes `x = u · total`, the weight left from position `i`
+/// on, and picks the first position `j ≥ i` whose running weight sum from
+/// `i` reaches `x` (position `i` itself when `x` is zero or no position
+/// reaches it), then swaps it into slot `i`. One Fenwick tree over the
+/// positions finds that position in `O(log n)`. A drawn position holds 0
+/// until the draw ends, when the picks' weights are added back, so the
+/// tree is built once, not once a round.
 ///
 /// The weights must be non-negative whole numbers summing below 2^53
 /// (degrees, or 1.0). Then every tree sum and every `x − sum` step is
-/// exact, so the draw picks exactly the node a linear scan subtracting
-/// weights from `x` in position order would pick.
-pub fn weighted_prefix_shuffle<R: Rng + ?Sized>(
-    ids: &mut [NodeId],
-    weights: &[f64],
-    ns: usize,
-    rng: &mut R,
-) {
-    let weight = |v: NodeId| weights[v as usize];
-    let mut tree = Fenwick::new(ids.iter().map(|&v| weight(v)));
-    let mut total: f64 = ids.iter().map(|&v| weight(v)).sum();
-    for i in 0..ns.min(ids.len()) {
-        let x = rng.gen::<f64>() * total.max(f64::MIN_POSITIVE);
-        let j = if x > 0.0 {
-            tree.first_reaching(x)
-        } else {
-            ids.len()
-        };
-        let pick = if j < ids.len() { j } else { i };
-        let (w_i, w_pick) = (weight(ids[i]), weight(ids[pick]));
-        total -= w_pick;
-        tree.add(i, -w_i);
-        if pick != i {
-            tree.add(pick, w_i - w_pick);
+/// exact: each draw picks exactly the id a linear scan subtracting weights
+/// from `x` in position order would pick, and the restored tree holds
+/// exactly the sums a fresh build over the new order would.
+pub struct NodeDraw {
+    ids: Vec<NodeId>,
+    weights: Vec<f64>,
+    tree: Fenwick,
+    total: f64,
+}
+
+impl NodeDraw {
+    /// A draw over the ids `0..weights.len()`, in ascending order. The
+    /// length must fit in [`NodeId`].
+    pub fn new(weights: Vec<f64>) -> Self {
+        let ids: Vec<NodeId> = (0..weights.len() as NodeId).collect();
+        NodeDraw {
+            tree: Fenwick::new(weights.iter().copied()),
+            total: weights.iter().sum(),
+            ids,
+            weights,
         }
-        ids.swap(i, pick);
+    }
+
+    /// Draws `ns` ids (every id when there are fewer) and returns them in
+    /// draw order: the front of the new order.
+    pub fn draw<R: Rng + ?Sized>(&mut self, ns: usize, rng: &mut R) -> &[NodeId] {
+        let n = self.ids.len();
+        let ns = ns.min(n);
+        let mut total = self.total;
+        for i in 0..ns {
+            let x = rng.gen::<f64>() * total.max(f64::MIN_POSITIVE);
+            let j = if x > 0.0 {
+                self.tree.first_reaching(x)
+            } else {
+                n
+            };
+            let pick = if j < n { j } else { i };
+            let (w_i, w_pick) = (self.weight(i), self.weight(pick));
+            total -= w_pick;
+            self.tree.add(i, -w_i);
+            if pick != i {
+                self.tree.add(pick, w_i - w_pick);
+            }
+            self.ids.swap(i, pick);
+        }
+        for i in 0..ns {
+            self.tree.add(i, self.weight(i));
+        }
+        &self.ids[..ns]
+    }
+
+    /// The current order: the last draw's ids first, in draw order.
+    pub fn order(&self) -> &[NodeId] {
+        &self.ids
+    }
+
+    /// The weight of the id at position `i`.
+    fn weight(&self, i: usize) -> f64 {
+        self.weights[self.ids[i] as usize]
     }
 }
 

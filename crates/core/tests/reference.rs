@@ -1,14 +1,16 @@
 //! Generation's fast paths against the straightforward code they replace.
 //!
-//! `weighted_prefix_shuffle` (a Fenwick-tree draw) must pick exactly the
-//! nodes of the linear scan `CpGan::generate` used to run, and consume the
-//! RNG identically; `GraphAssembler::ranked_pairs` (budget-filtered,
-//! unstable sort on an explicit key) must list exactly the pairs a stable
-//! sort of every upper-triangle pair lists once over-budget pairs are
-//! skipped; `GraphAssembler::add_subgraph_decoded` (live rows only) must
-//! merge exactly as `add_subgraph` on the full matrix; and
-//! `CpGan::generate` must build exactly the graph of a loop that decodes
-//! every row of every round. The references live here, and only here.
+//! `NodeDraw` (one Fenwick tree, restored after each round) must pick
+//! exactly the nodes of the linear scan `CpGan::generate` used to run,
+//! round after round over one evolving order, and consume the RNG
+//! identically; `GraphAssembler::ranked_pairs` (budget-filtered, unstable
+//! sort on an explicit key) must list exactly the pairs a stable sort of
+//! every upper-triangle pair lists once over-budget pairs are skipped;
+//! `GraphAssembler::add_subgraph_decoded` (live rows only) must merge
+//! exactly as `add_subgraph` on the full matrix; and `CpGan::generate`
+//! (live rows, their noise only) must build exactly the graph of a loop
+//! that scans for its nodes, draws every row's noise and decodes every row
+//! of every round. The references live here, and only here.
 
 // Test-support helpers sit outside `#[test]` fns, where the
 // `allow-*-in-tests` carve-out does not reach.
@@ -18,7 +20,7 @@ use cpgan::assembly::GraphAssembler;
 use cpgan::decoder::GraphDecoder;
 use cpgan::discriminator::Discriminator;
 use cpgan::encoder::LadderEncoder;
-use cpgan::sampling::weighted_prefix_shuffle;
+use cpgan::sampling::NodeDraw;
 use cpgan::vi::VariationalInference;
 use cpgan::{CpGan, CpGanConfig, Variant};
 use cpgan_graph::{Graph, NodeId};
@@ -63,8 +65,13 @@ impl RngCore for CoarseRng {
     }
 }
 
-/// Runs both draws for a few rounds over one evolving `ids`, as generation
-/// does, and checks they agree on every round and on the RNG left behind.
+/// Rounds each draw comparison runs: enough that every position is drawn,
+/// restored and drawn again many times over one evolving order.
+const ROUNDS: usize = 64;
+
+/// Runs both draws for [`ROUNDS`] rounds over one evolving order, as
+/// generation does, and checks they agree on every round's picks, on the
+/// whole order after it, and on the RNG left behind.
 fn assert_same_draws(weights: &[f64], ns: usize, seed: u64) {
     assert_same_draws_with(weights, ns, || StdRng::seed_from_u64(seed));
 }
@@ -72,12 +79,21 @@ fn assert_same_draws(weights: &[f64], ns: usize, seed: u64) {
 fn assert_same_draws_with<R: Rng>(weights: &[f64], ns: usize, rng: impl Fn() -> R) {
     let n = weights.len();
     let mut scan: Vec<NodeId> = (0..n as NodeId).collect();
-    let mut fast = scan.clone();
+    let mut fast = NodeDraw::new(weights.to_vec());
     let (mut scan_rng, mut fast_rng) = (rng(), rng());
-    for round in 0..4 {
+    for round in 0..ROUNDS {
         scan_shuffle(&mut scan, weights, ns, &mut scan_rng);
-        weighted_prefix_shuffle(&mut fast, weights, ns, &mut fast_rng);
-        assert_eq!(fast, scan, "round {round}, weights {weights:?}, ns {ns}");
+        let picks = fast.draw(ns, &mut fast_rng);
+        assert_eq!(
+            picks,
+            &scan[..ns],
+            "round {round}, weights {weights:?}, ns {ns}"
+        );
+        assert_eq!(
+            fast.order(),
+            scan,
+            "round {round}, weights {weights:?}, ns {ns}"
+        );
     }
     assert_eq!(fast_rng.gen::<u64>(), scan_rng.gen::<u64>());
 }
@@ -329,8 +345,9 @@ impl Stack {
         }
     }
 
-    /// `CpGan::generate` as it was before live-row decoding: every round
-    /// decodes all `n_s` sampled rows and merges the full matrix.
+    /// `CpGan::generate` as it was before its fast paths: every round
+    /// scans for its nodes, draws all `n_s` rows of noise, decodes every
+    /// row and merges the full matrix.
     fn generate(&self, n: usize, m: usize, rng: &mut StdRng) -> Graph {
         let ns = self.cfg.sample_size.min(n).max(2);
         let posterior = self.sim.as_ref().filter(|(mu, _, _)| mu.rows() == n);
@@ -349,7 +366,7 @@ impl Stack {
         let mut round = 0;
         while !asm.is_complete() && round < max_rounds {
             round += 1;
-            weighted_prefix_shuffle(&mut ids, &weights, ns, rng);
+            scan_shuffle(&mut ids, &weights, ns, rng);
             let nodes: Vec<NodeId> = ids[..ns].to_vec();
             let tape = Tape::new();
             let mut noise_rng = StdRng::seed_from_u64(rng.gen());

@@ -17,7 +17,9 @@ use crate::pipelines::{mean_columns, measure_cell, quality_diff, Cell, QualityDi
 use crate::registry::ModelKind;
 use crate::report::{mean_std, with_paper, Table};
 use crate::{paper, EvalConfig};
-use cpgan_datasets::{DatasetError, LoadOptions, VerifyReport, DEFAULT_CPL_SOURCES};
+use cpgan_datasets::{
+    DatasetEntry, DatasetError, LoadOptions, Source, VerifyReport, DEFAULT_CPL_SOURCES,
+};
 use cpgan_graph::Graph;
 use std::sync::Arc;
 
@@ -114,6 +116,19 @@ pub fn run(
     Ok((report, table))
 }
 
+/// The line to print above the verification report of `entry` loaded
+/// with `opts`, when the graph is a synthetic stand-in shrunk by `--scale`:
+/// its reference stats are the full-scale published ones, so `n` and `m`
+/// cannot match. `None` for every other load.
+pub fn scale_note(entry: &DatasetEntry, opts: &LoadOptions) -> Option<String> {
+    (matches!(entry.source, Source::Synthetic { .. }) && opts.scale > 1).then(|| {
+        format!(
+            "note: {} is synthesized at 1/{} scale; the reference stats below are full-scale",
+            entry.name, opts.scale
+        )
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,5 +179,23 @@ mod tests {
         // the report still carries every check.
         assert!(!report.checks.is_empty());
         assert_eq!(table.rows.len(), ModelKind::sweep().len());
+    }
+
+    #[test]
+    fn only_a_scaled_synthetic_load_gets_the_scale_note() {
+        let at = |scale| LoadOptions {
+            scale,
+            ..LoadOptions::default()
+        };
+        let synthetic = cpgan_datasets::resolve("ppi-synthetic").unwrap();
+        let fixture = cpgan_datasets::resolve("citeseer-fixture").unwrap();
+        let note = scale_note(synthetic, &at(48)).unwrap();
+        assert!(
+            note.contains("ppi-synthetic") && note.contains("1/48"),
+            "{note}"
+        );
+        assert_eq!(scale_note(synthetic, &at(1)), None);
+        assert_eq!(scale_note(synthetic, &at(0)), None, "0 loads at full scale");
+        assert_eq!(scale_note(fixture, &at(48)), None, "fixtures never scale");
     }
 }
