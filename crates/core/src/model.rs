@@ -7,7 +7,7 @@ use crate::discriminator::Discriminator;
 use crate::encoder::{AdjInput, EncoderOutput, LadderEncoder};
 use crate::error::{model_panic, ModelError};
 use crate::sampling::NodeDraw;
-use crate::vi::VariationalInference;
+use crate::vi::{VariationalInference, ViOutput};
 use cpgan_community::louvain;
 use cpgan_graph::sampling::SubgraphSampler;
 use cpgan_graph::{spectral, Graph, NodeId};
@@ -202,6 +202,24 @@ impl CpGan {
         self.decoder.link_logits(tape, &h)
     }
 
+    /// Link probabilities of the latent rows `z` (`n x n`), taken off
+    /// `z`'s tape. Every caller passes an inference tape, so each decode
+    /// intermediate is released as soon as the decode is past it.
+    fn decode_probabilities(&self, tape: &Tape, z: &Var) -> Matrix {
+        self.decode_logits(tape, z).sigmoid().into_value()
+    }
+
+    /// Encodes `g` from its node features on `tape` and returns `Z_rec`,
+    /// the levels stacked column-wise: the VI module's input. The other
+    /// encoder outputs are dropped on return, so an inference tape releases
+    /// them before the VI forward runs.
+    fn encode_rec(&self, tape: &Tape, g: &Graph, feats: Matrix) -> Var {
+        let x = tape.constant(feats);
+        let adj = Arc::new(Csr::normalized_adjacency(g));
+        let enc = self.encoder.encode(tape, &AdjInput::Sparse(adj), &x);
+        Var::concat_cols(&enc.z_rec)
+    }
+
     /// Clustering-consistency loss `L_clus` (paper §III-F2): cross-entropy
     /// between composed assignment matrices and Louvain hierarchy labels.
     fn clus_loss(&self, tape: &Tape, enc: &EncoderOutput, truth: &[Vec<usize>]) -> Var {
@@ -273,14 +291,22 @@ impl CpGan {
             };
             // Detach the generated probabilities: the discriminator update
             // must not flow back into the generator (Eq. 17 differentiates
-            // w.r.t. phi_D only).
-            let fake_probs = tape.constant(self.decode_logits(&tape, &z_vae).sigmoid().value());
+            // w.r.t. phi_D only). So they are decoded on an inference tape
+            // and enter this one as a constant.
+            let fake_probs = {
+                let detached = Tape::inference();
+                let z = detached.constant(z_vae.value());
+                tape.constant(self.decode_probabilities(&detached, &z))
+            };
             let enc_fake = self.encoder.encode(&tape, &AdjInput::Dense(fake_probs), &x);
             let fake_logit = self.discriminator.logit(&tape, &enc_fake.readout_flat);
 
             // Prior path (also detached).
-            let z_prior = self.vi.sample_prior(&tape, ns, &mut self.rng);
-            let prior_probs = tape.constant(self.decode_logits(&tape, &z_prior).sigmoid().value());
+            let prior_probs = {
+                let detached = Tape::inference();
+                let z_prior = self.vi.sample_prior(&detached, ns, &mut self.rng);
+                tape.constant(self.decode_probabilities(&detached, &z_prior))
+            };
             let enc_prior = self
                 .encoder
                 .encode(&tape, &AdjInput::Dense(prior_probs), &x);
@@ -472,14 +498,16 @@ impl CpGan {
 
     /// Encodes `g` from its node features `feats` and returns the per-node
     /// posterior means and the shared posterior standard deviation row.
+    /// Runs on an inference tape: this whole-graph pass sets CPGAN's peak
+    /// memory (Table IX), and it never runs backward.
     fn encode_latents(&mut self, g: &Graph, feats: Matrix) -> (Matrix, Matrix) {
-        let tape = Tape::new();
-        let x = tape.constant(feats);
-        let adj = Arc::new(Csr::normalized_adjacency(g));
-        let enc = self.encoder.encode(&tape, &AdjInput::Sparse(adj), &x);
-        let z_rec_cat = Var::concat_cols(&enc.z_rec);
-        let out = self.vi.forward(&tape, &z_rec_cat, &mut self.rng);
-        (out.mu.value(), out.var.sqrt().value())
+        let tape = Tape::inference();
+        let z_rec_cat = self.encode_rec(&tape, g, feats);
+        // The sample and the KL are drawn (the RNG stream depends on it) and
+        // released at once: only the posterior is kept.
+        let ViOutput { mu, var, .. } = self.vi.forward(&tape, &z_rec_cat, &mut self.rng);
+        drop(z_rec_cat);
+        (mu.into_value(), var.sqrt().into_value())
     }
 
     /// Generates a new graph with `n` nodes and (approximately) `m` edges by
@@ -560,7 +588,7 @@ impl CpGan {
                 None => {
                     // No budgets, so every row is live: the round decodes
                     // all of them straight from the prior, with no copy.
-                    let tape = Tape::new();
+                    let tape = Tape::inference();
                     let z = {
                         let _span = cpgan_obs::span("core.generate.noise");
                         let mut noise_rng = StdRng::seed_from_u64(noise_seed);
@@ -568,7 +596,7 @@ impl CpGan {
                     };
                     let probs = {
                         let _span = cpgan_obs::span("core.generate.decode");
-                        self.decode_logits(&tape, &z).sigmoid().value()
+                        self.decode_probabilities(&tape, &z)
                     };
                     work.rows_decoded += ns;
                     let _span = cpgan_obs::span("core.generate.merge");
@@ -609,9 +637,9 @@ impl CpGan {
                 *z = m + s * *z;
             }
         }
-        let tape = Tape::new();
+        let tape = Tape::inference();
         let z = tape.constant(z);
-        self.decode_logits(&tape, &z).sigmoid().value()
+        self.decode_probabilities(&tape, &z)
     }
 
     /// Encodes `g` and returns the full link-probability matrix (`n x n`).
@@ -620,17 +648,15 @@ impl CpGan {
     /// large, as `cpgan_eval::budget::would_oom` does for the paper's
     /// 24 GB GPU.
     pub fn reconstruct_probabilities(&self, g: &Graph) -> Matrix {
-        let tape = Tape::new();
-        let x = tape.constant(self.features(g, self.cfg.seed));
-        let adj = Arc::new(Csr::normalized_adjacency(g));
-        let enc = self.encoder.encode(&tape, &AdjInput::Sparse(adj), &x);
-        let z_rec_cat = Var::concat_cols(&enc.z_rec);
+        let tape = Tape::inference();
+        let z_rec_cat = self.encode_rec(&tape, g, self.features(g, self.cfg.seed));
         // Deterministic reconstruction: use the posterior mean.
         let z = {
             let mut rng = StdRng::seed_from_u64(self.cfg.seed);
             self.vi.forward(&tape, &z_rec_cat, &mut rng).mu
         };
-        self.decode_logits(&tape, &z).sigmoid().value()
+        drop(z_rec_cat);
+        self.decode_probabilities(&tape, &z)
     }
 
     /// Mean negative log-likelihood of a set of edges under a probability

@@ -131,11 +131,11 @@ impl CondGenR {
             }
         }
 
-        let tape = Tape::new();
+        let tape = Tape::inference();
         let x = tape.constant(feats);
         let (mu, logvar) = model.encode(&tape, &adj, &x);
-        model.trained_mu = mu.value();
-        model.trained_logvar = logvar.value();
+        model.trained_mu = mu.into_value();
+        model.trained_logvar = logvar.into_value();
         model
     }
 
@@ -151,7 +151,7 @@ impl CondGenR {
 
     /// Decoded link probabilities with fresh posterior noise.
     pub fn decode_probabilities(&self, rng: &mut dyn RngCore) -> Matrix {
-        let tape = Tape::new();
+        let tape = Tape::inference();
         let mut noise_rng = StdRng::seed_from_u64(rng.next_u64());
         let eps = init::standard_normal(&mut noise_rng, self.n, self.cfg.latent_dim);
         let mut z = self.trained_mu.clone();
@@ -161,7 +161,10 @@ impl CondGenR {
         }
         let scale = 1.0 / (self.cfg.latent_dim as f32).sqrt();
         let zv = tape.constant(z);
-        zv.matmul(&zv.transpose()).scale(scale).sigmoid().value()
+        zv.matmul(&zv.transpose())
+            .scale(scale)
+            .sigmoid()
+            .into_value()
     }
 }
 

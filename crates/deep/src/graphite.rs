@@ -70,11 +70,11 @@ impl Graphite {
             opt.step(&store);
         }
 
-        let tape = Tape::new();
+        let tape = Tape::inference();
         let x = tape.constant(feats);
         let (mu, logvar) = model.encode(&tape, &adj, &x);
-        model.trained_mu = mu.value();
-        model.trained_logvar = logvar.value();
+        model.trained_mu = mu.into_value();
+        model.trained_logvar = logvar.into_value();
         model
     }
 
@@ -99,7 +99,7 @@ impl Graphite {
 
     /// Decoded probabilities with fresh posterior noise.
     pub fn decode_probabilities(&self, rng: &mut dyn RngCore) -> Matrix {
-        let tape = Tape::new();
+        let tape = Tape::inference();
         let mut noise_rng = StdRng::seed_from_u64(rng.next_u64());
         let eps = init::standard_normal(&mut noise_rng, self.n, self.cfg.latent_dim);
         let mut z = self.trained_mu.clone();
@@ -108,7 +108,7 @@ impl Graphite {
             z.as_mut_slice()[i] += sigma * eps.as_slice()[i];
         }
         let zv = tape.constant(z);
-        self.decode(&tape, &zv).sigmoid().value()
+        self.decode(&tape, &zv).sigmoid().into_value()
     }
 }
 

@@ -146,13 +146,15 @@ impl GraphGenerator for GraphRnnS {
     }
 
     fn generate(&self, rng: &mut dyn RngCore) -> Graph {
-        let tape = Tape::new();
+        // Each step's values are released as the next step replaces them;
+        // the tape keeps only an empty node per op of the generation.
+        let tape = Tape::inference();
         let mut b = GraphBuilder::new(self.n);
         let mut h = tape.constant(Matrix::zeros(1, self.hidden));
         let mut x = tape.constant(Matrix::full(1, self.window, 1.0));
         for i in 1..self.n {
             h = self.gru.forward(&tape, &x, &h);
-            let probs = self.head.forward(&tape, &h).sigmoid().value();
+            let probs = self.head.forward(&tape, &h).sigmoid().into_value();
             let mut sampled = vec![0.0f32; self.window];
             for (j, s) in sampled.iter_mut().enumerate() {
                 if j < i && rng.gen::<f32>() < probs.get(0, j) {

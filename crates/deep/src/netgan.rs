@@ -194,16 +194,19 @@ impl NetGan {
         let mut walks = Vec::with_capacity(count);
         let batch = 8usize;
         while walks.len() < count {
-            let tape = Tape::new();
-            let steps = self.generate_soft_walks(&tape, batch, rng);
+            let tape = Tape::inference();
+            let steps: Vec<Matrix> = self
+                .generate_soft_walks(&tape, batch, rng)
+                .into_iter()
+                .map(Var::into_value)
+                .collect();
             for b in 0..batch {
                 if walks.len() >= count {
                     break;
                 }
                 let mut walk = Vec::with_capacity(WALK_LEN);
                 for s in &steps {
-                    let v = s.value();
-                    let row = v.row(b);
+                    let row = s.row(b);
                     let arg = row
                         .iter()
                         .enumerate()

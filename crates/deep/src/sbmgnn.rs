@@ -70,7 +70,7 @@ impl SbmGnn {
         }
 
         // Cache the inferred SBM parameters.
-        let tape = Tape::new();
+        let tape = Tape::inference();
         let x = tape.constant(feats);
         let h = conv1.forward_sparse(&tape, &adj, &x).relu();
         let pi = conv_pi.forward_sparse(&tape, &adj, &h).softmax_rows();
@@ -79,8 +79,8 @@ impl SbmGnn {
         SbmGnn {
             m: g.m(),
             communities: k,
-            trained_pi: pi.value(),
-            trained_b: b_sym.value(),
+            trained_pi: pi.into_value(),
+            trained_b: b_sym.into_value(),
         }
     }
 
@@ -91,10 +91,10 @@ impl SbmGnn {
 
     /// Edge probabilities from the inferred overlapping SBM.
     pub fn probabilities(&self) -> Matrix {
-        let tape = Tape::new();
+        let tape = Tape::inference();
         let pi = tape.constant(self.trained_pi.clone());
         let b = tape.constant(self.trained_b.clone());
-        pi.matmul(&b).matmul(&pi.transpose()).sigmoid().value()
+        pi.matmul(&b).matmul(&pi.transpose()).sigmoid().into_value()
     }
 }
 

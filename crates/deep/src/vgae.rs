@@ -74,11 +74,11 @@ impl Vgae {
         }
 
         // Cache the final posterior for generation.
-        let tape = Tape::new();
+        let tape = Tape::inference();
         let x = tape.constant(feats);
         let (mu, logvar) = model.encode(&tape, &adj, &x);
-        model.trained_mu = mu.value();
-        model.trained_logvar = logvar.value();
+        model.trained_mu = mu.into_value();
+        model.trained_logvar = logvar.into_value();
         model
     }
 
@@ -94,7 +94,7 @@ impl Vgae {
     /// Link probabilities decoded from the cached posterior with fresh
     /// posterior noise.
     pub fn decode_probabilities(&self, rng: &mut dyn RngCore) -> Matrix {
-        let tape = Tape::new();
+        let tape = Tape::inference();
         let mut noise_rng = StdRng::seed_from_u64(rng.next_u64());
         let eps = init::standard_normal(&mut noise_rng, self.n, self.cfg.latent_dim);
         let mut z = self.trained_mu.clone();
@@ -103,7 +103,7 @@ impl Vgae {
             z.as_mut_slice()[i] += sigma * eps.as_slice()[i];
         }
         let zv = tape.constant(z);
-        zv.matmul(&zv.transpose()).sigmoid().value()
+        zv.matmul(&zv.transpose()).sigmoid().into_value()
     }
 
     /// Number of trainable scalars.

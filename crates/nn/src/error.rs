@@ -52,6 +52,9 @@ pub enum NnError {
         /// Operation that was attempted across tapes.
         op: &'static str,
     },
+    /// Backward was asked of a [`crate::Tape::inference`] tape, which
+    /// records no ops and releases values as their handles drop.
+    InferenceTape,
 }
 
 impl fmt::Display for NnError {
@@ -61,6 +64,9 @@ impl fmt::Display for NnError {
             NnError::TapeMismatch { op } => {
                 write!(f, "{op}: variables belong to different tapes")
             }
+            NnError::InferenceTape => {
+                write!(f, "backward: an inference tape records no gradients")
+            }
         }
     }
 }
@@ -69,7 +75,7 @@ impl std::error::Error for NnError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             NnError::Shape(e) => Some(e),
-            NnError::TapeMismatch { .. } => None,
+            NnError::TapeMismatch { .. } | NnError::InferenceTape => None,
         }
     }
 }

@@ -77,6 +77,16 @@ impl Matrix {
         }
     }
 
+    /// A 0x0 matrix without a buffer: it touches neither the pool nor the
+    /// accounting. What a released inference-tape node holds.
+    pub(crate) fn empty() -> Self {
+        Matrix {
+            rows: 0,
+            cols: 0,
+            data: Vec::new(),
+        }
+    }
+
     /// Wraps an existing buffer (`data.len()` must equal `rows * cols`).
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         Matrix::try_from_vec(rows, cols, data).unwrap_or_else(|e| nn_panic(e))

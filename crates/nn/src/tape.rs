@@ -8,6 +8,14 @@
 //!
 //! The training loops in this workspace build a fresh tape per forward pass,
 //! which keeps parameter lifetimes independent of any particular pass.
+//!
+//! A pass that never runs backward (encoding, generation, detached decodes)
+//! runs on [`Tape::inference`] instead. Its ops compute their values with the
+//! same code, but the tape records nothing for backward and counts the live
+//! [`Var`] handles of each node: when the last one drops, the node's value is
+//! dropped too, so its buffer goes back to the pool mid-pass and the pass
+//! peaks at what its live handles hold rather than at every intermediate it
+//! ever made (DESIGN.md §10).
 
 use crate::error::{nn_panic, NnError, ShapeError};
 use crate::kernels::FusedAct;
@@ -85,7 +93,14 @@ struct Node {
 /// An autodiff recording arena. Cheap to clone (shared handle).
 #[derive(Clone)]
 pub struct Tape {
-    nodes: Rc<RefCell<Vec<Node>>>,
+    inner: Rc<TapeInner>,
+}
+
+struct TapeInner {
+    nodes: RefCell<Vec<Node>>,
+    /// Live [`Var`] handles per node, on an inference tape only. A training
+    /// tape counts nothing: backward needs every node until the tape drops.
+    handles: Option<RefCell<Vec<usize>>>,
 }
 
 impl Default for Tape {
@@ -95,15 +110,41 @@ impl Default for Tape {
 }
 
 impl Tape {
-    /// Creates an empty tape.
+    /// Creates an empty training tape: every node lives until the tape
+    /// drops, so [`Var::backward`] can walk them all.
     pub fn new() -> Self {
+        Tape::with_handles(None)
+    }
+
+    /// Creates an empty forward-only tape. Ops compute exactly what they
+    /// compute on [`Tape::new`], but nothing is recorded for backward, and a
+    /// node's value is released as soon as no [`Var`] refers to it.
+    /// [`Var::try_backward`] on it returns [`NnError::InferenceTape`].
+    pub fn inference() -> Self {
+        Tape::with_handles(Some(RefCell::new(Vec::new())))
+    }
+
+    fn with_handles(handles: Option<RefCell<Vec<usize>>>) -> Self {
         Tape {
-            nodes: Rc::new(RefCell::new(Vec::new())),
+            inner: Rc::new(TapeInner {
+                nodes: RefCell::new(Vec::new()),
+                handles,
+            }),
         }
     }
 
-    fn push(&self, value: Matrix, op: Op) -> Var {
-        let mut nodes = self.nodes.borrow_mut();
+    /// Appends a node. `op` is built only on a training tape, so an
+    /// inference tape never pays for what only backward reads (an
+    /// operator's transpose, index lists, loss targets).
+    fn push(&self, value: Matrix, op: impl FnOnce() -> Op) -> Var {
+        let op = match &self.inner.handles {
+            None => op(),
+            Some(handles) => {
+                handles.borrow_mut().push(1);
+                Op::Leaf
+            }
+        };
+        let mut nodes = self.inner.nodes.borrow_mut();
         nodes.push(Node {
             value,
             grad: None,
@@ -117,7 +158,7 @@ impl Tape {
 
     /// Records a constant (gradient does not flow into it).
     pub fn constant(&self, value: Matrix) -> Var {
-        self.push(value, Op::Leaf)
+        self.push(value, || Op::Leaf)
     }
 
     /// Records a scalar constant as a 1x1 matrix.
@@ -128,31 +169,72 @@ impl Tape {
     /// Records a trainable parameter; backward accumulates into `param`.
     pub fn param(&self, param: &Param) -> Var {
         let value = param.value();
-        self.push(value, Op::Param(param.clone()))
+        self.push(value, || Op::Param(param.clone()))
     }
 
-    /// Number of recorded nodes.
+    /// Number of recorded nodes (released ones included).
     pub fn len(&self) -> usize {
-        self.nodes.borrow().len()
+        self.inner.nodes.borrow().len()
     }
 
     /// Whether the tape is empty.
     pub fn is_empty(&self) -> bool {
-        self.nodes.borrow().is_empty()
+        self.inner.nodes.borrow().is_empty()
     }
 }
 
-/// A handle to a node on a [`Tape`].
-#[derive(Clone)]
+/// A handle to a node on a [`Tape`]. On an inference tape each handle
+/// counts: the node's value is released when the last one drops.
 pub struct Var {
     tape: Tape,
     idx: usize,
 }
 
+impl Clone for Var {
+    fn clone(&self) -> Self {
+        if let Some(handles) = &self.tape.inner.handles {
+            handles.borrow_mut()[self.idx] += 1;
+        }
+        Var {
+            tape: self.tape.clone(),
+            idx: self.idx,
+        }
+    }
+}
+
+impl Drop for Var {
+    fn drop(&mut self) {
+        let Some(handles) = &self.tape.inner.handles else {
+            return;
+        };
+        // A drop never panics. No op drops a handle while it holds the
+        // counts or the arena: each borrows them only to compute a value,
+        // and its operands outlive that borrow. Were either ever borrowed
+        // here, the value would simply stay until the tape drops.
+        let last = handles.try_borrow_mut().is_ok_and(|mut handles| {
+            handles.get_mut(self.idx).is_some_and(|count| {
+                *count = count.saturating_sub(1);
+                *count == 0
+            })
+        });
+        if !last {
+            return;
+        }
+        let released = match self.tape.inner.nodes.try_borrow_mut() {
+            Ok(mut nodes) => nodes
+                .get_mut(self.idx)
+                .map(|node| std::mem::replace(&mut node.value, Matrix::empty())),
+            Err(_) => None,
+        };
+        // Dropped after the borrow ends: the buffer goes back to the pool.
+        drop(released);
+    }
+}
+
 impl Var {
     /// Checks that `other` lives on the same tape as `self`.
     fn same_tape(&self, other: &Var, op: &'static str) -> Result<(), NnError> {
-        if !Rc::ptr_eq(&self.tape.nodes, &other.tape.nodes) {
+        if !Rc::ptr_eq(&self.tape.inner, &other.tape.inner) {
             return Err(NnError::TapeMismatch { op });
         }
         Ok(())
@@ -160,23 +242,36 @@ impl Var {
 
     /// Clones the current value of this node.
     pub fn value(&self) -> Matrix {
-        self.tape.nodes.borrow()[self.idx].value.clone()
+        self.tape.inner.nodes.borrow()[self.idx].value.clone()
+    }
+
+    /// This node's value, moved off the tape when this is the last handle on
+    /// an inference tape (the release would drop it anyway), else cloned.
+    /// Either way the bits are those [`Var::value`] returns.
+    pub fn into_value(self) -> Matrix {
+        if let Some(handles) = &self.tape.inner.handles {
+            if handles.borrow()[self.idx] == 1 {
+                let mut nodes = self.tape.inner.nodes.borrow_mut();
+                return std::mem::replace(&mut nodes[self.idx].value, Matrix::empty());
+            }
+        }
+        self.value()
     }
 
     /// Shape of this node's value.
     pub fn shape(&self) -> (usize, usize) {
-        self.tape.nodes.borrow()[self.idx].value.shape()
+        self.tape.inner.nodes.borrow()[self.idx].value.shape()
     }
 
     /// Scalar value of a 1x1 node.
     pub fn item(&self) -> f32 {
-        self.tape.nodes.borrow()[self.idx].value.item()
+        self.tape.inner.nodes.borrow()[self.idx].value.item()
     }
 
     /// Clones the accumulated gradient of this node (zeros if backward has
     /// not reached it).
     pub fn grad(&self) -> Matrix {
-        let nodes = self.tape.nodes.borrow();
+        let nodes = self.tape.inner.nodes.borrow();
         let node = &nodes[self.idx];
         node.grad
             .as_ref()
@@ -194,10 +289,10 @@ impl Var {
     pub fn try_matmul(&self, other: &Var) -> Result<Var, NnError> {
         self.same_tape(other, "matmul")?;
         let value = {
-            let nodes = self.tape.nodes.borrow();
+            let nodes = self.tape.inner.nodes.borrow();
             nodes[self.idx].value.try_matmul(&nodes[other.idx].value)?
         };
-        Ok(self.tape.push(value, Op::MatMul(self.idx, other.idx)))
+        Ok(self.tape.push(value, || Op::MatMul(self.idx, other.idx)))
     }
 
     /// Sparse constant times this variable: `s * self`. The backward
@@ -205,12 +300,13 @@ impl Var {
     /// ([`Csr::transpose_cached`]), so repeated forwards on the same
     /// adjacency share one transpose instead of rebuilding it per call.
     pub fn spmm(&self, s: &Arc<Csr>) -> Var {
-        let st = s.transpose_cached();
         let value = {
-            let nodes = self.tape.nodes.borrow();
+            let nodes = self.tape.inner.nodes.borrow();
             s.matmul_dense(&nodes[self.idx].value)
         };
-        self.tape.push(value, Op::SpMM(Arc::clone(s), st, self.idx))
+        self.tape.push(value, || {
+            Op::SpMM(Arc::clone(s), s.transpose_cached(), self.idx)
+        })
     }
 
     /// Fused `act(s * self + bias)` in a single tape node: the forward is
@@ -233,8 +329,7 @@ impl Var {
         bias: Option<&Var>,
         act: FusedAct,
     ) -> Result<Var, NnError> {
-        let st = s.transpose_cached();
-        self.spmm_bias_act_with(s, st, bias, act, None)
+        self.spmm_bias_act_with(s, || s.transpose_cached(), bias, act, None)
     }
 
     /// Batched [`Var::spmm_bias_act`] over a [`BlockDiagCsr`]: one fused
@@ -260,7 +355,7 @@ impl Var {
     ) -> Result<Var, NnError> {
         self.spmm_bias_act_with(
             batch.op(),
-            Arc::clone(batch.op_t()),
+            || Arc::clone(batch.op_t()),
             bias,
             act,
             Some(Arc::clone(batch.offsets())),
@@ -270,7 +365,7 @@ impl Var {
     fn spmm_bias_act_with(
         &self,
         s: &Arc<Csr>,
-        st: Arc<Csr>,
+        st: impl FnOnce() -> Arc<Csr>,
         bias: Option<&Var>,
         act: FusedAct,
         blocks: Option<Arc<Vec<usize>>>,
@@ -279,7 +374,7 @@ impl Var {
             self.same_tape(b, "spmm_bias_act")?;
         }
         let value = {
-            let nodes = self.tape.nodes.borrow();
+            let nodes = self.tape.inner.nodes.borrow();
             let x = &nodes[self.idx].value;
             if let Some(b) = bias {
                 let r = &nodes[b.idx].value;
@@ -295,16 +390,13 @@ impl Var {
             let bm = bias.map(|b| &nodes[b.idx].value);
             s.matmul_dense_bias_act(x, bm, act)
         };
-        Ok(self.tape.push(
-            value,
-            Op::SpmmBiasAct {
-                op_t: st,
-                x: self.idx,
-                bias: bias.map(|b| b.idx),
-                act,
-                blocks,
-            },
-        ))
+        Ok(self.tape.push(value, || Op::SpmmBiasAct {
+            op_t: st(),
+            x: self.idx,
+            bias: bias.map(|b| b.idx),
+            act,
+            blocks,
+        }))
     }
 
     /// Elementwise sum.
@@ -316,12 +408,12 @@ impl Var {
     pub fn try_add(&self, other: &Var) -> Result<Var, NnError> {
         self.same_tape(other, "add")?;
         let value = {
-            let nodes = self.tape.nodes.borrow();
+            let nodes = self.tape.inner.nodes.borrow();
             nodes[self.idx]
                 .value
                 .try_zip(&nodes[other.idx].value, |a, b| a + b)?
         };
-        Ok(self.tape.push(value, Op::Add(self.idx, other.idx)))
+        Ok(self.tape.push(value, || Op::Add(self.idx, other.idx)))
     }
 
     /// Elementwise difference.
@@ -333,12 +425,12 @@ impl Var {
     pub fn try_sub(&self, other: &Var) -> Result<Var, NnError> {
         self.same_tape(other, "sub")?;
         let value = {
-            let nodes = self.tape.nodes.borrow();
+            let nodes = self.tape.inner.nodes.borrow();
             nodes[self.idx]
                 .value
                 .try_zip(&nodes[other.idx].value, |a, b| a - b)?
         };
-        Ok(self.tape.push(value, Op::Sub(self.idx, other.idx)))
+        Ok(self.tape.push(value, || Op::Sub(self.idx, other.idx)))
     }
 
     /// Elementwise (Hadamard) product.
@@ -350,12 +442,12 @@ impl Var {
     pub fn try_mul(&self, other: &Var) -> Result<Var, NnError> {
         self.same_tape(other, "mul")?;
         let value = {
-            let nodes = self.tape.nodes.borrow();
+            let nodes = self.tape.inner.nodes.borrow();
             nodes[self.idx]
                 .value
                 .try_zip(&nodes[other.idx].value, |a, b| a * b)?
         };
-        Ok(self.tape.push(value, Op::Mul(self.idx, other.idx)))
+        Ok(self.tape.push(value, || Op::Mul(self.idx, other.idx)))
     }
 
     /// Adds a `1 x d` row vector to every row of this `n x d` variable.
@@ -369,7 +461,7 @@ impl Var {
     pub fn try_add_row_broadcast(&self, row: &Var) -> Result<Var, NnError> {
         self.same_tape(row, "add_row_broadcast")?;
         let value = {
-            let nodes = self.tape.nodes.borrow();
+            let nodes = self.tape.inner.nodes.borrow();
             let x = &nodes[self.idx].value;
             let r = &nodes[row.idx].value;
             if r.rows() != 1 || r.cols() != x.cols() {
@@ -391,7 +483,7 @@ impl Var {
         };
         Ok(self
             .tape
-            .push(value, Op::AddRowBroadcast(self.idx, row.idx)))
+            .push(value, || Op::AddRowBroadcast(self.idx, row.idx)))
     }
 
     /// Broadcasts this `1 x d` row vector to `n` rows.
@@ -403,7 +495,7 @@ impl Var {
     /// vector.
     pub fn try_broadcast_row(&self, n: usize) -> Result<Var, NnError> {
         let value = {
-            let nodes = self.tape.nodes.borrow();
+            let nodes = self.tape.inner.nodes.borrow();
             let r = &nodes[self.idx].value;
             if r.rows() != 1 {
                 return Err(ShapeError::new(
@@ -419,61 +511,69 @@ impl Var {
             }
             out
         };
-        Ok(self.tape.push(value, Op::BroadcastRow(self.idx)))
+        Ok(self.tape.push(value, || Op::BroadcastRow(self.idx)))
     }
 
     /// Multiplies by a compile-time scalar.
     pub fn scale(&self, c: f32) -> Var {
-        let value = self.tape.nodes.borrow()[self.idx].value.map(|v| v * c);
-        self.tape.push(value, Op::Scale(self.idx, c))
+        let value = self.tape.inner.nodes.borrow()[self.idx]
+            .value
+            .map(|v| v * c);
+        self.tape.push(value, || Op::Scale(self.idx, c))
     }
 
     /// Adds a scalar to every element.
     pub fn add_scalar(&self, c: f32) -> Var {
-        let value = self.tape.nodes.borrow()[self.idx].value.map(|v| v + c);
-        self.tape.push(value, Op::AddScalar(self.idx, c))
+        let value = self.tape.inner.nodes.borrow()[self.idx]
+            .value
+            .map(|v| v + c);
+        self.tape.push(value, || Op::AddScalar(self.idx, c))
     }
 
     /// Rectified linear unit.
     pub fn relu(&self) -> Var {
-        let value = self.tape.nodes.borrow()[self.idx].value.map(|v| v.max(0.0));
-        self.tape.push(value, Op::Relu(self.idx))
+        let value = self.tape.inner.nodes.borrow()[self.idx]
+            .value
+            .map(|v| v.max(0.0));
+        self.tape.push(value, || Op::Relu(self.idx))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Var {
-        let value = self.tape.nodes.borrow()[self.idx]
+        let value = self.tape.inner.nodes.borrow()[self.idx]
             .value
             .map(|v| 1.0 / (1.0 + (-v).exp()));
-        self.tape.push(value, Op::Sigmoid(self.idx))
+        self.tape.push(value, || Op::Sigmoid(self.idx))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Var {
-        let value = self.tape.nodes.borrow()[self.idx].value.map(f32::tanh);
-        self.tape.push(value, Op::Tanh(self.idx))
+        let value = self.tape.inner.nodes.borrow()[self.idx]
+            .value
+            .map(f32::tanh);
+        self.tape.push(value, || Op::Tanh(self.idx))
     }
 
     /// Elementwise exponential.
     pub fn exp(&self) -> Var {
-        let value = self.tape.nodes.borrow()[self.idx].value.map(f32::exp);
-        self.tape.push(value, Op::Exp(self.idx))
+        let value = self.tape.inner.nodes.borrow()[self.idx].value.map(f32::exp);
+        self.tape.push(value, || Op::Exp(self.idx))
     }
 
     /// Elementwise natural log of `x + EPS`.
     pub fn ln(&self) -> Var {
-        let value = self.tape.nodes.borrow()[self.idx]
+        let value = self.tape.inner.nodes.borrow()[self.idx]
             .value
             .map(|v| (v + EPS).ln());
-        self.tape.push(value, Op::Ln(self.idx))
+        self.tape.push(value, || Op::Ln(self.idx))
     }
 
     /// Elementwise square root of `max(x, EPS)`.
     pub fn sqrt(&self) -> Var {
-        let value = self.tape.nodes.borrow()[self.idx]
+        let value = self.tape.inner.nodes.borrow()[self.idx]
             .value
             .map(|v| v.max(EPS).sqrt());
-        self.tape.push(value, Op::Sqrt(self.idx))
+        self.tape.push(value, || Op::Sqrt(self.idx))
     }
 
     /// Elementwise square.
@@ -486,7 +586,7 @@ impl Var {
     /// kernel, so the result is thread-count independent).
     pub fn softmax_rows(&self) -> Var {
         let value = {
-            let nodes = self.tape.nodes.borrow();
+            let nodes = self.tape.inner.nodes.borrow();
             let x = &nodes[self.idx].value;
             let mut out = x.clone();
             let d = out.cols();
@@ -500,13 +600,13 @@ impl Var {
             }
             out
         };
-        self.tape.push(value, Op::SoftmaxRows(self.idx))
+        self.tape.push(value, || Op::SoftmaxRows(self.idx))
     }
 
     /// Transpose.
     pub fn transpose(&self) -> Var {
-        let value = self.tape.nodes.borrow()[self.idx].value.transpose();
-        self.tape.push(value, Op::Transpose(self.idx))
+        let value = self.tape.inner.nodes.borrow()[self.idx].value.transpose();
+        self.tape.push(value, || Op::Transpose(self.idx))
     }
 
     /// Horizontal concatenation (same row counts).
@@ -525,7 +625,7 @@ impl Var {
             first.same_tape(p, "concat_cols")?;
         }
         let value = {
-            let nodes = tape.nodes.borrow();
+            let nodes = tape.inner.nodes.borrow();
             let rows = nodes[first.idx].value.rows();
             let total: usize = parts.iter().map(|p| nodes[p.idx].value.cols()).sum();
             let mut out = Matrix::zeros(rows, total);
@@ -547,7 +647,9 @@ impl Var {
             }
             out
         };
-        Ok(tape.push(value, Op::ConcatCols(parts.iter().map(|p| p.idx).collect())))
+        Ok(tape.push(value, || {
+            Op::ConcatCols(parts.iter().map(|p| p.idx).collect())
+        }))
     }
 
     /// Vertical concatenation (same column counts).
@@ -566,7 +668,7 @@ impl Var {
             first.same_tape(p, "concat_rows")?;
         }
         let value = {
-            let nodes = tape.nodes.borrow();
+            let nodes = tape.inner.nodes.borrow();
             let cols = nodes[first.idx].value.cols();
             let total: usize = parts.iter().map(|p| nodes[p.idx].value.rows()).sum();
             let mut out = Matrix::zeros(total, cols);
@@ -588,13 +690,15 @@ impl Var {
             }
             out
         };
-        Ok(tape.push(value, Op::ConcatRows(parts.iter().map(|p| p.idx).collect())))
+        Ok(tape.push(value, || {
+            Op::ConcatRows(parts.iter().map(|p| p.idx).collect())
+        }))
     }
 
     /// Column-wise mean over rows (`n x d -> 1 x d`).
     pub fn mean_rows(&self) -> Var {
         let value = {
-            let nodes = self.tape.nodes.borrow();
+            let nodes = self.tape.inner.nodes.borrow();
             let x = &nodes[self.idx].value;
             let n = x.rows().max(1);
             let mut out = Matrix::zeros(1, x.cols());
@@ -608,29 +712,29 @@ impl Var {
             }
             out
         };
-        self.tape.push(value, Op::MeanRows(self.idx))
+        self.tape.push(value, || Op::MeanRows(self.idx))
     }
 
     /// Sum of all elements (scalar node).
     pub fn sum_all(&self) -> Var {
-        let value = Matrix::scalar(self.tape.nodes.borrow()[self.idx].value.sum());
-        self.tape.push(value, Op::SumAll(self.idx))
+        let value = Matrix::scalar(self.tape.inner.nodes.borrow()[self.idx].value.sum());
+        self.tape.push(value, || Op::SumAll(self.idx))
     }
 
     /// Mean of all elements (scalar node).
     pub fn mean_all(&self) -> Var {
         let value = {
-            let nodes = self.tape.nodes.borrow();
+            let nodes = self.tape.inner.nodes.borrow();
             let x = &nodes[self.idx].value;
             Matrix::scalar(x.sum() / x.len().max(1) as f32)
         };
-        self.tape.push(value, Op::MeanAll(self.idx))
+        self.tape.push(value, || Op::MeanAll(self.idx))
     }
 
     /// Selects rows by index (duplicates allowed); backward scatter-adds.
     pub fn gather_rows(&self, indices: &Arc<Vec<usize>>) -> Var {
         let value = {
-            let nodes = self.tape.nodes.borrow();
+            let nodes = self.tape.inner.nodes.borrow();
             let x = &nodes[self.idx].value;
             let mut out = Matrix::zeros(indices.len(), x.cols());
             for (r, &i) in indices.iter().enumerate() {
@@ -639,13 +743,13 @@ impl Var {
             out
         };
         self.tape
-            .push(value, Op::GatherRows(self.idx, Arc::clone(indices)))
+            .push(value, || Op::GatherRows(self.idx, Arc::clone(indices)))
     }
 
     /// Per-row L2 normalization scaled by `s`: `y_i = s * x_i / ||x_i||`.
     pub fn row_l2_normalize(&self, s: f32) -> Var {
         let value = {
-            let nodes = self.tape.nodes.borrow();
+            let nodes = self.tape.inner.nodes.borrow();
             let x = &nodes[self.idx].value;
             let mut out = x.clone();
             for r in 0..out.rows() {
@@ -657,7 +761,7 @@ impl Var {
             }
             out
         };
-        self.tape.push(value, Op::RowL2Normalize(self.idx, s))
+        self.tape.push(value, || Op::RowL2Normalize(self.idx, s))
     }
 
     /// Mean binary cross-entropy with logits against a constant target,
@@ -675,7 +779,7 @@ impl Var {
         weight: Option<&Arc<Matrix>>,
     ) -> Result<Var, NnError> {
         let value = {
-            let nodes = self.tape.nodes.borrow();
+            let nodes = self.tape.inner.nodes.borrow();
             let z = &nodes[self.idx].value;
             if z.shape() != target.shape() {
                 return Err(ShapeError::new(
@@ -708,10 +812,9 @@ impl Var {
             }
             Matrix::scalar((total / wsum.max(EPS as f64)) as f32)
         };
-        Ok(self.tape.push(
-            value,
-            Op::BceWithLogitsMean(self.idx, Arc::clone(target), weight.map(Arc::clone)),
-        ))
+        Ok(self.tape.push(value, || {
+            Op::BceWithLogitsMean(self.idx, Arc::clone(target), weight.map(Arc::clone))
+        }))
     }
 
     /// Mean squared error against a constant target (scalar node).
@@ -723,7 +826,7 @@ impl Var {
     /// shape.
     pub fn try_mse_mean(&self, target: &Arc<Matrix>) -> Result<Var, NnError> {
         let value = {
-            let nodes = self.tape.nodes.borrow();
+            let nodes = self.tape.inner.nodes.borrow();
             let x = &nodes[self.idx].value;
             if x.shape() != target.shape() {
                 return Err(ShapeError::new(
@@ -742,15 +845,25 @@ impl Var {
         };
         Ok(self
             .tape
-            .push(value, Op::MseMean(self.idx, Arc::clone(target))))
+            .push(value, || Op::MseMean(self.idx, Arc::clone(target))))
     }
 
     /// Runs reverse-mode differentiation from this node, seeding its gradient
     /// with ones. Parameter gradients are *accumulated* into their shared
     /// storage (call [`crate::ParamStore::zero_grad`] between steps).
     pub fn backward(&self) {
+        self.try_backward().unwrap_or_else(|e| nn_panic(e))
+    }
+
+    /// Fallible [`Var::backward`]: an inference tape keeps neither its ops
+    /// nor its released values, so it returns [`NnError::InferenceTape`]
+    /// before touching any node.
+    pub fn try_backward(&self) -> Result<(), NnError> {
+        if self.tape.inner.handles.is_some() {
+            return Err(NnError::InferenceTape);
+        }
         let _span = cpgan_obs::span("nn.backward");
-        let mut nodes = self.tape.nodes.borrow_mut();
+        let mut nodes = self.tape.inner.nodes.borrow_mut();
         let root = &mut nodes[self.idx];
         let (r, c) = root.value.shape();
         root.grad = Some(Matrix::full(r, c, 1.0));
@@ -765,6 +878,7 @@ impl Var {
             // Keep the gradient available for inspection after backward.
             node.grad = Some(grad);
         }
+        Ok(())
     }
 }
 
