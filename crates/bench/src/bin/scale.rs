@@ -4,16 +4,20 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin scale [--threads N] [--max-nodes N]
-//!     [--assert-min-nodes-per-sec X]
+//!     [--assert-min-nodes-per-sec X] [--assert-max-peak-rss-mib X]
 //! ```
 //!
 //! Runs `cpgan_shard::ShardPipeline` end-to-end (partition → per-shard
 //! train+generate → stitch) on planted-partition graphs at 10k, 100k and
-//! 500k nodes, reporting throughput (nodes/sec, edges/sec) and two memory
-//! figures per leg: the scheduler's per-wave peak estimate and the nn
-//! allocator's measured peak (`cpgan_nn::memory::peak_bytes`). Each leg
-//! states the memory budget it ran under; `--max-nodes` trims the list for
-//! CI, and `--assert-min-nodes-per-sec` gates regressions (exit 1).
+//! 500k nodes, reporting throughput (nodes/sec, edges/sec) and three memory
+//! figures per leg: the scheduler's per-wave peak estimate, the nn
+//! allocator's measured tensor peak (`cpgan_nn::memory::peak_bytes`) and
+//! the process's peak resident set so far (`VmHWM` from
+//! `/proc/self/status`, `null` where that file does not exist), which
+//! covers every earlier leg too. Each leg states the memory budget it ran
+//! under; `--max-nodes` trims the list for CI. `--assert-min-nodes-per-sec`
+//! gates throughput and `--assert-max-peak-rss-mib` the process peak, which
+//! fails where it cannot be read (exit 1 either way).
 
 use bench::{fail, time, Bench};
 use cpgan::CpGanConfig;
@@ -37,6 +41,7 @@ struct Leg {
     edges_per_sec: f64,
     scheduled_peak_bytes: usize,
     measured_nn_peak_bytes: usize,
+    peak_rss_mib: Option<f64>,
     within_budget: bool,
 }
 
@@ -72,6 +77,15 @@ fn leg_model() -> CpGanConfig {
     }
 }
 
+/// The process's peak resident set size so far, in MiB (`VmHWM`), or
+/// `None` where `/proc/self/status` does not exist.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
+}
+
 fn run_leg(n: usize) -> Leg {
     let g = leg_graph(n, 0xBEEF ^ n as u64);
     let pipeline = ShardPipeline::new(ShardConfig {
@@ -97,12 +111,20 @@ fn run_leg(n: usize) -> Leg {
         edges_per_sec: edges_out as f64 / secs,
         scheduled_peak_bytes: report.peak_estimate_bytes,
         measured_nn_peak_bytes: cpgan_nn::memory::peak_bytes(),
+        peak_rss_mib: peak_rss_mib(),
         within_budget: report.peak_estimate_bytes <= MEMORY_BUDGET_BYTES,
     }
 }
 
 fn main() {
-    let mut bench = Bench::parallel("scale", &["max-nodes", "assert-min-nodes-per-sec"]);
+    let mut bench = Bench::parallel(
+        "scale",
+        &[
+            "max-nodes",
+            "assert-min-nodes-per-sec",
+            "assert-max-peak-rss-mib",
+        ],
+    );
     let threads = bench.threads();
     let max_nodes = bench
         .args()
@@ -124,7 +146,8 @@ fn main() {
         let leg = with_thread_count(threads, || run_leg(n));
         eprintln!(
             "n={:>7}: {:>7.2}s  {:>9.0} nodes/s  {:>9.0} edges/s  \
-             {} shards / {} waves  sched peak {} MiB, measured nn peak {} MiB",
+             {} shards / {} waves  sched peak {} MiB, measured nn peak {} MiB, \
+             process peak {} MiB",
             leg.nodes,
             leg.secs,
             leg.nodes_per_sec,
@@ -133,6 +156,8 @@ fn main() {
             leg.waves,
             leg.scheduled_peak_bytes >> 20,
             leg.measured_nn_peak_bytes >> 20,
+            leg.peak_rss_mib
+                .map_or_else(|| "n/a".to_string(), |mib| format!("{mib:.0}")),
         );
         if !leg.within_budget {
             eprintln!(
@@ -151,6 +176,9 @@ fn main() {
         .map(|l| l.nodes_per_sec)
         .fold(f64::INFINITY, f64::min);
     bench.gate("assert-min-nodes-per-sec", "slowest leg nodes/s", slowest);
+    // VmHWM never falls, so the last leg's reading is the run's peak.
+    let rss = legs.last().and_then(|l| l.peak_rss_mib).unwrap_or(f64::NAN);
+    bench.gate("assert-max-peak-rss-mib", "process peak RSS MiB", rss);
     bench.finish(&Report {
         memory_budget_bytes: MEMORY_BUDGET_BYTES,
         legs,

@@ -12,8 +12,8 @@
 //!
 //! Most rows of a late generation round belong to nodes that are seeded
 //! and at their degree budget, which neither step reads;
-//! [`GraphAssembler::add_subgraph_decoded`] asks for only the rows a merge
-//! can read (DESIGN.md §16).
+//! [`GraphAssembler::add_subgraph_decoded`] asks for exactly the rows a
+//! merge can read (DESIGN.md §16).
 
 use cpgan_graph::{Graph, GraphBuilder, NodeId};
 use cpgan_nn::Matrix;
@@ -177,29 +177,15 @@ impl GraphAssembler {
     /// an unseeded node at its under-budget partners; step 2 reads pairs of
     /// under-budget nodes. Degrees and the seeded set only grow during a
     /// merge, so the rows live now cover every read (the step-1 fallback
-    /// aside, which decodes every row). The live rows are padded with dead
-    /// ones up to the next power of two: the decode's buffers then come in
-    /// a handful of sizes the buffer pool keeps warm (DESIGN.md §10).
+    /// aside, which decodes every row).
     fn rows_to_decode(&self, nodes: &[NodeId], budget: usize) -> Option<Vec<usize>> {
         let unseeded = |v: &NodeId| !self.seeded.contains(v);
         let open = nodes.iter().filter(|&&v| !self.over_budget(v)).count();
         if budget.min(self.remaining()) == 0 || (open < 2 && !nodes.iter().any(unseeded)) {
             return None;
         }
-        let live: Vec<bool> = nodes
-            .iter()
-            .map(|v| !self.over_budget(*v) || unseeded(v))
-            .collect();
-        let n_live = live.iter().filter(|&&l| l).count();
-        let mut pad = n_live.next_power_of_two().min(nodes.len()) - n_live;
         let rows = (0..nodes.len())
-            .filter(|&i| {
-                live[i]
-                    || (pad > 0 && {
-                        pad -= 1;
-                        true
-                    })
-            })
+            .filter(|&i| !self.over_budget(nodes[i]) || unseeded(&nodes[i]))
             .collect();
         Some(rows)
     }
@@ -601,5 +587,46 @@ mod tests {
             asm.add_subgraph(&nodes, &probs, m, &mut rng);
             assert_eq!(asm.build().m(), m, "budgeted strategy must be exact");
         }
+    }
+
+    /// A round asks `decode` for exactly its live rows, and a step-1
+    /// fallback for every row; both merge what `add_subgraph` merges from
+    /// the full matrix.
+    #[test]
+    fn a_round_decodes_exactly_its_live_rows() {
+        // Nodes 0..5 are seeded and at budget, so of 8 rows only 5..8 live.
+        let assembler = || {
+            let mut asm = GraphAssembler::new(8, 20).with_degree_budgets(vec![2; 8]);
+            for v in 0..5u32 {
+                asm.seeded.insert(v);
+                asm.degree[v as usize] = 2;
+            }
+            asm
+        };
+        let nodes: Vec<u32> = (0..8).collect();
+        let run = |full: &Matrix| {
+            let mut asked = Vec::new();
+            let mut asm = assembler();
+            asm.add_subgraph_decoded(&nodes, 20, &mut StdRng::seed_from_u64(4), |rows| {
+                asked.push(rows.to_vec());
+                Matrix::from_fn(rows.len(), rows.len(), |a, b| full.get(rows[a], rows[b]))
+            });
+            let mut whole = assembler();
+            whole.add_subgraph(&nodes, full, 20, &mut StdRng::seed_from_u64(4));
+            assert_eq!(asm.build().edges(), whole.build().edges());
+            asked
+        };
+        assert_eq!(run(&uniform_probs(8)), vec![vec![5, 6, 7]]);
+        // Row 5 puts no mass on its live partners 6 and 7, so step 1 falls
+        // back to the whole row, which only a decode of every row holds.
+        let shunned = Matrix::from_fn(8, 8, |i, j| match (i.min(j), i.max(j)) {
+            (a, b) if a == b => 0.0,
+            (5, 6 | 7) => 0.0,
+            _ => 0.5,
+        });
+        assert_eq!(
+            run(&shunned),
+            vec![vec![5, 6, 7], (0..8).collect::<Vec<usize>>()]
+        );
     }
 }

@@ -81,7 +81,7 @@ struct SimState {
 /// once per call (DESIGN.md §9, §16).
 #[derive(Default)]
 struct DecodeWork {
-    /// Rows decoded, pad rows and fallback decodes included.
+    /// Rows decoded, fallback decodes included.
     rows_decoded: usize,
     /// Rounds whose merge could read nothing, so nothing was decoded.
     rounds_skipped: usize,

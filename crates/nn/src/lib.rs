@@ -7,7 +7,7 @@
 //! stack with a self-contained CPU implementation:
 //!
 //! * [`Matrix`] — dense row-major `f32` tensors with allocation accounting
-//!   and pooled buffers ([`memory`]),
+//!   ([`memory`]),
 //! * [`kernels`] — cache-blocked, register-tiled dense matmul microkernels,
 //! * [`sparse::Csr`] — sparse graph operators for `O(m + n)` convolutions,
 //! * [`tape::Tape`] / [`tape::Var`] — reverse-mode automatic differentiation,

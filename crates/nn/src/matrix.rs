@@ -1,10 +1,10 @@
 //! Dense row-major `f32` matrices.
 //!
-//! All tensor data in the workspace flows through [`Matrix`]. Buffers are
-//! checked out of the [`crate::memory`] workspace pool (falling back to the
-//! allocator on a miss) and registered with its live/peak accounting so
-//! experiments can report peak tensor memory (the reproduction's stand-in
-//! for the paper's "peak GPU memory", Table IX).
+//! All tensor data in the workspace flows through [`Matrix`]. Every buffer
+//! comes from the global allocator and is registered with the
+//! [`crate::memory`] live/peak accounting, so experiments can report peak
+//! tensor memory (the reproduction's stand-in for the paper's "peak GPU
+//! memory", Table IX).
 //!
 //! The three dense products delegate to the cache-blocked, register-tiled
 //! microkernels in [`crate::kernels`]; this module only owns the shape
@@ -47,38 +47,24 @@ pub struct Matrix {
 }
 
 impl Matrix {
-    /// Allocates a zero matrix (from the buffer pool when possible).
+    /// Allocates a zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: memory::buffer_filled(rows * cols, 0.0),
-        }
+        Matrix::full(rows, cols, 0.0)
     }
 
-    /// Allocates a matrix filled with `value` (from the buffer pool when
-    /// possible).
+    /// Allocates a matrix filled with `value`.
     pub fn full(rows: usize, cols: usize, value: f32) -> Self {
+        let len = rows * cols;
+        memory::on_alloc(len * std::mem::size_of::<f32>());
         Matrix {
             rows,
             cols,
-            data: memory::buffer_filled(rows * cols, value),
+            data: vec![value; len],
         }
     }
 
-    /// A matrix whose contents are arbitrary (pooled garbage or zeros) —
-    /// for kernel outputs that overwrite every element before the matrix
-    /// escapes. Crate-private so uninitialized values can never leak out.
-    fn uninit(rows: usize, cols: usize) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: memory::buffer_uninit(rows * cols),
-        }
-    }
-
-    /// A 0x0 matrix without a buffer: it touches neither the pool nor the
-    /// accounting. What a released inference-tape node holds.
+    /// A 0x0 matrix without a buffer: it touches neither the allocator nor
+    /// the accounting. What a released inference-tape node holds.
     pub(crate) fn empty() -> Self {
         Matrix {
             rows: 0,
@@ -241,7 +227,7 @@ impl Matrix {
         cpgan_obs::hist_record("nn.matmul.flops", flops);
         let sw = cpgan_obs::enabled().then(cpgan_obs::Stopwatch::start);
         let (k, n) = (self.cols, other.cols);
-        let mut out = Matrix::uninit(self.rows, n);
+        let mut out = Matrix::zeros(self.rows, n);
         let block = (MM_GRAIN / n.max(1)).max(1);
         par_chunks_mut(&mut out.data, block * n, |ci, chunk| {
             let r0 = ci * block;
@@ -281,7 +267,7 @@ impl Matrix {
         // Row-blocked over the *output* (out row i reads column i of self);
         // the blocked kernel keeps the k-ascending accumulation order.
         let (k, n, m) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::uninit(n, m);
+        let mut out = Matrix::zeros(n, m);
         let block = (MM_GRAIN / m.max(1)).max(1);
         par_chunks_mut(&mut out.data, block * m, |ci, chunk| {
             let r0 = ci * block;
@@ -312,7 +298,7 @@ impl Matrix {
         cpgan_obs::hist_record("nn.matmul.flops", flops);
         let sw = cpgan_obs::enabled().then(cpgan_obs::Stopwatch::start);
         let (k, m) = (self.cols, other.rows);
-        let mut out = Matrix::uninit(self.rows, m);
+        let mut out = Matrix::zeros(self.rows, m);
         let block = (MM_GRAIN / m.max(1)).max(1);
         par_chunks_mut(&mut out.data, block * m, |ci, chunk| {
             let r0 = ci * block;
@@ -335,7 +321,7 @@ impl Matrix {
     pub fn transpose(&self) -> Matrix {
         const TB: usize = 32;
         let (nr, nc) = (self.rows, self.cols);
-        let mut out = Matrix::uninit(nc, nr);
+        let mut out = Matrix::zeros(nc, nr);
         let mut r0 = 0;
         while r0 < nr {
             let rb = TB.min(nr - r0);
@@ -458,19 +444,20 @@ fn same_shape(op: &'static str, a: &Matrix, b: &Matrix) -> Result<(), NnError> {
 
 impl Clone for Matrix {
     fn clone(&self) -> Self {
+        memory::on_alloc(std::mem::size_of_val(self.data.as_slice()));
         Matrix {
             rows: self.rows,
             cols: self.cols,
-            data: memory::buffer_copied(&self.data),
+            data: self.data.clone(),
         }
     }
 }
 
 impl Drop for Matrix {
     fn drop(&mut self) {
-        // Unregisters from the live/peak accounting and offers the buffer
-        // to the thread-local pool for the next same-sized allocation.
-        memory::release_buffer(std::mem::take(&mut self.data));
+        // Unregisters from the live/peak accounting; the `Vec` then returns
+        // its buffer to the allocator.
+        memory::on_dealloc(std::mem::size_of_val(self.data.as_slice()));
     }
 }
 

@@ -13,9 +13,13 @@
 //! runs on [`Tape::inference`] instead. Its ops compute their values with the
 //! same code, but the tape records nothing for backward and counts the live
 //! [`Var`] handles of each node: when the last one drops, the node's value is
-//! dropped too, so its buffer goes back to the pool mid-pass and the pass
-//! peaks at what its live handles hold rather than at every intermediate it
-//! ever made (DESIGN.md §10).
+//! dropped too, so its buffer goes back to the allocator mid-pass and the
+//! pass peaks at what its live handles hold rather than at every
+//! intermediate it ever made (DESIGN.md §10).
+//!
+//! A training tape marks each node a parameter reaches (`requires_grad`),
+//! and backward computes gradients for those nodes only: a constant operand
+//! of a product gets none.
 
 use crate::error::{nn_panic, NnError, ShapeError};
 use crate::kernels::FusedAct;
@@ -84,10 +88,50 @@ enum Op {
     MseMean(usize, Arc<Matrix>),
 }
 
+impl Op {
+    /// Whether backward has to reach a node recorded with this op: a
+    /// parameter leaf, or an op with a parent `reached` holds for.
+    fn requires_grad(&self, reached: impl Fn(usize) -> bool) -> bool {
+        match self {
+            Op::Leaf => false,
+            Op::Param(_) => true,
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::AddRowBroadcast(a, b) => reached(*a) || reached(*b),
+            Op::SpmmBiasAct { x, bias, .. } => reached(*x) || bias.is_some_and(&reached),
+            Op::ConcatCols(parts) | Op::ConcatRows(parts) => parts.iter().any(|&p| reached(p)),
+            Op::SpMM(_, _, x)
+            | Op::BroadcastRow(x)
+            | Op::Scale(x, _)
+            | Op::AddScalar(x, _)
+            | Op::Relu(x)
+            | Op::Sigmoid(x)
+            | Op::Tanh(x)
+            | Op::Exp(x)
+            | Op::Ln(x)
+            | Op::Sqrt(x)
+            | Op::SoftmaxRows(x)
+            | Op::Transpose(x)
+            | Op::MeanRows(x)
+            | Op::SumAll(x)
+            | Op::MeanAll(x)
+            | Op::GatherRows(x, _)
+            | Op::RowL2Normalize(x, _)
+            | Op::BceWithLogitsMean(x, _, _)
+            | Op::MseMean(x, _) => reached(*x),
+        }
+    }
+}
+
 struct Node {
     value: Matrix,
     grad: Option<Matrix>,
     op: Op,
+    /// Whether a parameter reaches this node, so that backward needs its
+    /// gradient. Never set on an inference tape.
+    requires_grad: bool,
 }
 
 /// An autodiff recording arena. Cheap to clone (shared handle).
@@ -145,10 +189,12 @@ impl Tape {
             }
         };
         let mut nodes = self.inner.nodes.borrow_mut();
+        let requires_grad = op.requires_grad(|p| nodes[p].requires_grad);
         nodes.push(Node {
             value,
             grad: None,
             op,
+            requires_grad,
         });
         Var {
             tape: self.clone(),
@@ -226,7 +272,8 @@ impl Drop for Var {
                 .map(|node| std::mem::replace(&mut node.value, Matrix::empty())),
             Err(_) => None,
         };
-        // Dropped after the borrow ends: the buffer goes back to the pool.
+        // Dropped after the borrow ends: the buffer goes back to the
+        // allocator.
         drop(released);
     }
 }
@@ -269,7 +316,8 @@ impl Var {
     }
 
     /// Clones the accumulated gradient of this node (zeros if backward has
-    /// not reached it).
+    /// not reached it). Backward sends no gradient into a node no parameter
+    /// reaches, so such a node reads zeros unless backward started there.
     pub fn grad(&self) -> Matrix {
         let nodes = self.tape.inner.nodes.borrow();
         let node = &nodes[self.idx];
@@ -850,7 +898,9 @@ impl Var {
 
     /// Runs reverse-mode differentiation from this node, seeding its gradient
     /// with ones. Parameter gradients are *accumulated* into their shared
-    /// storage (call [`crate::ParamStore::zero_grad`] between steps).
+    /// storage (call [`crate::ParamStore::zero_grad`] between steps). Only
+    /// nodes a parameter reaches get a gradient; each receives the same
+    /// contributions, in the same order, as if every node got one.
     pub fn backward(&self) {
         self.try_backward().unwrap_or_else(|e| nn_panic(e))
     }
@@ -874,7 +924,9 @@ impl Var {
             let Some(grad) = node.grad.take() else {
                 continue;
             };
-            backprop(node, &grad, left);
+            if node.requires_grad {
+                backprop(node, &grad, left);
+            }
             // Keep the gradient available for inspection after backward.
             node.grad = Some(grad);
         }
@@ -883,10 +935,26 @@ impl Var {
 }
 
 /// Gets (allocating if needed) the gradient buffer of `left[idx]`.
+///
+/// Backprop runs only on nodes a parameter reaches, so the one parent of a
+/// unary op always needs its gradient; an op with several parents checks
+/// each parent's `requires_grad` before computing its gradient.
 fn grad_of(left: &mut [Node], idx: usize) -> &mut Matrix {
     let node = &mut left[idx];
     let (r, c) = node.value.shape();
     node.grad.get_or_insert_with(|| Matrix::zeros(r, c))
+}
+
+/// Column sums of `m`'s rows `rows` as a `1 x cols` row, added row by row
+/// in ascending order.
+fn sum_rows(m: &Matrix, rows: std::ops::Range<usize>) -> Matrix {
+    let mut out = Matrix::zeros(1, m.cols());
+    for r in rows {
+        for (o, &g) in out.row_mut(0).iter_mut().zip(m.row(r)) {
+            *o += g;
+        }
+    }
+    out
 }
 
 /// Propagates `grad` of `node` into its parents (all located in `left`).
@@ -896,10 +964,18 @@ fn backprop(node: &Node, grad: &Matrix, left: &mut [Node]) {
         Op::Param(p) => p.accumulate_grad(grad),
         Op::MatMul(a, b) => {
             // dA += G B^T ; dB += A^T G.
-            let db = left[*a].value.matmul_tn(grad);
-            let da = grad.matmul_nt(&left[*b].value);
-            grad_of(left, *a).axpy(1.0, &da);
-            grad_of(left, *b).axpy(1.0, &db);
+            let db = left[*b]
+                .requires_grad
+                .then(|| left[*a].value.matmul_tn(grad));
+            let da = left[*a]
+                .requires_grad
+                .then(|| grad.matmul_nt(&left[*b].value));
+            if let Some(da) = da {
+                grad_of(left, *a).axpy(1.0, &da);
+            }
+            if let Some(db) = db {
+                grad_of(left, *b).axpy(1.0, &db);
+            }
         }
         Op::SpMM(_, st, x) => {
             let dx = st.matmul_dense(grad);
@@ -917,43 +993,42 @@ fn backprop(node: &Node, grad: &Matrix, left: &mut [Node]) {
             // bitwise what the standalone activation op would produce.
             let a = *act;
             let gm = node.value.zip(grad, |y, g| a.grad_from_output(y, g));
-            let dx = op_t.matmul_dense(&gm);
-            grad_of(left, *x).axpy(1.0, &dx);
-            if let Some(b) = bias {
-                let mut drow = Matrix::zeros(1, gm.cols());
-                match blocks {
-                    None => {
-                        // Row-major accumulation, matching AddRowBroadcast.
-                        for r in 0..gm.rows() {
-                            for (o, &g) in drow.row_mut(0).iter_mut().zip(gm.row(r)) {
-                                *o += g;
-                            }
-                        }
-                    }
+            if left[*x].requires_grad {
+                let dx = op_t.matmul_dense(&gm);
+                grad_of(left, *x).axpy(1.0, &dx);
+            }
+            if let Some(b) = bias.filter(|&b| left[b].requires_grad) {
+                let drow = match blocks {
+                    // Row-major accumulation, matching AddRowBroadcast.
+                    None => sum_rows(&gm, 0..gm.rows()),
                     Some(offs) => {
                         // Per-block partial sums combined in block order —
                         // bitwise equal to k independent per-block calls.
+                        let mut drow = Matrix::zeros(1, gm.cols());
                         for w in offs.windows(2) {
-                            let mut local = Matrix::zeros(1, gm.cols());
-                            for r in w[0]..w[1] {
-                                for (o, &g) in local.row_mut(0).iter_mut().zip(gm.row(r)) {
-                                    *o += g;
-                                }
-                            }
-                            drow.axpy(1.0, &local);
+                            drow.axpy(1.0, &sum_rows(&gm, w[0]..w[1]));
                         }
+                        drow
                     }
-                }
-                grad_of(left, *b).axpy(1.0, &drow);
+                };
+                grad_of(left, b).axpy(1.0, &drow);
             }
         }
         Op::Add(a, b) => {
-            grad_of(left, *a).axpy(1.0, grad);
-            grad_of(left, *b).axpy(1.0, grad);
+            if left[*a].requires_grad {
+                grad_of(left, *a).axpy(1.0, grad);
+            }
+            if left[*b].requires_grad {
+                grad_of(left, *b).axpy(1.0, grad);
+            }
         }
         Op::Sub(a, b) => {
-            grad_of(left, *a).axpy(1.0, grad);
-            grad_of(left, *b).axpy(-1.0, grad);
+            if left[*a].requires_grad {
+                grad_of(left, *a).axpy(1.0, grad);
+            }
+            if left[*b].requires_grad {
+                grad_of(left, *b).axpy(-1.0, grad);
+            }
         }
         Op::Mul(a, b) => {
             if a == b {
@@ -961,30 +1036,26 @@ fn backprop(node: &Node, grad: &Matrix, left: &mut [Node]) {
                 let da = left[*a].value.zip(grad, |x, g| 2.0 * x * g);
                 grad_of(left, *a).axpy(1.0, &da);
             } else {
-                let da = left[*b].value.zip(grad, |b, g| b * g);
-                let db = left[*a].value.zip(grad, |a, g| a * g);
-                grad_of(left, *a).axpy(1.0, &da);
-                grad_of(left, *b).axpy(1.0, &db);
+                if left[*a].requires_grad {
+                    let da = left[*b].value.zip(grad, |b, g| b * g);
+                    grad_of(left, *a).axpy(1.0, &da);
+                }
+                if left[*b].requires_grad {
+                    let db = left[*a].value.zip(grad, |a, g| a * g);
+                    grad_of(left, *b).axpy(1.0, &db);
+                }
             }
         }
         Op::AddRowBroadcast(x, row) => {
-            grad_of(left, *x).axpy(1.0, grad);
-            let mut drow = Matrix::zeros(1, grad.cols());
-            for r in 0..grad.rows() {
-                for (o, &g) in drow.row_mut(0).iter_mut().zip(grad.row(r)) {
-                    *o += g;
-                }
+            if left[*x].requires_grad {
+                grad_of(left, *x).axpy(1.0, grad);
             }
-            grad_of(left, *row).axpy(1.0, &drow);
+            if left[*row].requires_grad {
+                grad_of(left, *row).axpy(1.0, &sum_rows(grad, 0..grad.rows()));
+            }
         }
         Op::BroadcastRow(row) => {
-            let mut drow = Matrix::zeros(1, grad.cols());
-            for r in 0..grad.rows() {
-                for (o, &g) in drow.row_mut(0).iter_mut().zip(grad.row(r)) {
-                    *o += g;
-                }
-            }
-            grad_of(left, *row).axpy(1.0, &drow);
+            grad_of(left, *row).axpy(1.0, &sum_rows(grad, 0..grad.rows()));
         }
         Op::Scale(x, c) => grad_of(left, *x).axpy(*c, grad),
         Op::AddScalar(x, _) => grad_of(left, *x).axpy(1.0, grad),
@@ -1035,6 +1106,10 @@ fn backprop(node: &Node, grad: &Matrix, left: &mut [Node]) {
             let mut col0 = 0;
             for &p in parts {
                 let cols = left[p].value.cols();
+                if !left[p].requires_grad {
+                    col0 += cols;
+                    continue;
+                }
                 let mut dp = Matrix::zeros(grad.rows(), cols);
                 for r in 0..grad.rows() {
                     dp.row_mut(r)
@@ -1048,6 +1123,10 @@ fn backprop(node: &Node, grad: &Matrix, left: &mut [Node]) {
             let mut row0 = 0;
             for &p in parts {
                 let rows = left[p].value.rows();
+                if !left[p].requires_grad {
+                    row0 += rows;
+                    continue;
+                }
                 let mut dp = Matrix::zeros(rows, grad.cols());
                 for r in 0..rows {
                     dp.row_mut(r).copy_from_slice(grad.row(row0 + r));

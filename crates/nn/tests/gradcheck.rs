@@ -479,49 +479,52 @@ fn grad_spmm_bias_act_batched_with_empty_and_single_node_blocks() {
     }
 }
 
-/// Pooled buffers hold arbitrary garbage at checkout; every op must fully
-/// overwrite (or explicitly zero) what it reads. Running the same backward
-/// pass with the pool off and then on — after priming the free lists with
-/// dirty buffers — must produce bit-identical gradients.
+/// Backward computes no gradient for a node no parameter reaches. For
+/// `loss = f(x·W)` with a constant `x`, the product's backward runs only
+/// `xᵀ·G` for `W`, not `G·Wᵀ` for `x`, and `W`'s gradient keeps its bits.
 #[test]
-fn grads_bitwise_identical_with_pooled_buffers() {
-    let run = || {
-        let param = Param::new(seed_matrix(6, 5, 0.15));
-        let tape = Tape::new();
-        let x = tape.param(&param);
-        let w = tape.constant(seed_matrix(5, 9, 0.65));
-        let loss = x.matmul(&w).relu().square().mean_all();
-        loss.backward();
-        let grad = param.lock().grad.clone();
-        (loss.item(), grad)
+fn constant_operands_get_no_gradient_and_change_no_bit() {
+    // Each case runs under its own root span, so the counts below see only
+    // this thread's products.
+    let run = |root: &'static str, x_is_param: bool| {
+        let x = Param::new(seed_matrix(6, 5, 0.15));
+        let w = Param::new(seed_matrix(5, 9, 0.65));
+        {
+            let _root = cpgan_obs::span(root);
+            let tape = Tape::new();
+            let x = if x_is_param {
+                tape.param(&x)
+            } else {
+                tape.constant(x.value())
+            };
+            let loss = x.matmul(&tape.param(&w)).relu().square().mean_all();
+            loss.backward();
+        }
+        let report = cpgan_obs::snapshot();
+        let products = |name: &str| {
+            report
+                .span_stat(&format!("{root}/nn.backward/{name}"))
+                .map_or(0, |(count, _)| count)
+        };
+        let grad = w.lock().grad.clone();
+        (grad, products("nn.matmul_tn"), products("nn.matmul_nt"))
     };
-    cpgan_nn::memory::set_pool_enabled(false);
-    cpgan_nn::memory::pool_clear();
-    let (loss_off, grad_off) = run();
-    cpgan_nn::memory::set_pool_enabled(true);
-    // Prime the pool with dirty buffers of the exact sizes the run uses.
-    let dirt: Vec<Matrix> = [(6, 5), (5, 9), (6, 9), (1, 1)]
-        .iter()
-        .map(|&(r, c)| Matrix::full(r, c, f32::NAN))
-        .collect();
-    drop(dirt);
-    let (loss_on, grad_on) = run();
-    cpgan_nn::memory::pool_clear();
+    cpgan_obs::set_enabled(true);
+    let (from_constant, tn_constant, nt_constant) = run("gradcheck.constant_x", false);
+    let (from_param, tn_param, nt_param) = run("gradcheck.param_x", true);
+    cpgan_obs::set_enabled(false);
+    assert_eq!((tn_param, nt_param), (1, 1), "a parameter x needs both");
     assert_eq!(
-        loss_off.to_bits(),
-        loss_on.to_bits(),
-        "loss differs with pool"
+        (tn_constant, nt_constant),
+        (1, 0),
+        "a constant x needs no G·Wᵀ"
     );
-    for (i, (a, b)) in grad_off
+    for (i, (a, b)) in from_constant
         .as_slice()
         .iter()
-        .zip(grad_on.as_slice())
+        .zip(from_param.as_slice())
         .enumerate()
     {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "grad[{i}] differs with pool: {a} vs {b}"
-        );
+        assert_eq!(a.to_bits(), b.to_bits(), "dW[{i}]: {a} vs {b}");
     }
 }

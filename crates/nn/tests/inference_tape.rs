@@ -2,13 +2,14 @@
 //!
 //! * **Same bits.** Every op family computes on an inference tape exactly
 //!   what it computes on a training tape. Each pass below rebinds its
-//!   intermediates, so on the inference tape they are released mid-pass and
-//!   the next op of the same size writes into their recycled, dirty pool
-//!   buffers; the large fixed case splits every kernel into several chunks.
+//!   intermediates, so on the inference tape they are released mid-pass
+//!   and the next op may get their freed memory back from the allocator;
+//!   the large fixed case splits every kernel into several chunks.
 //! * **Release rule.** A node's bytes leave `live_bytes` when its last
 //!   handle drops, not while a clone lives, and never on a training tape.
 //! * **Intact survivors.** A value read through a live handle after its
-//!   parents were released (and their buffers reused) is unchanged.
+//!   parents were released (and their memory handed out again) is
+//!   unchanged.
 //! * **No backward.** `try_backward` is `NnError::InferenceTape`.
 //!
 //! The accounting is process-global, so every test here serializes on one
@@ -244,8 +245,7 @@ proptest! {
 }
 
 /// Shapes large enough that every parallel kernel splits into several
-/// chunks, so multi-chunk ops write into recycled buffers at any
-/// `CPGAN_THREADS`.
+/// chunks, at any `CPGAN_THREADS`.
 #[test]
 fn multi_chunk_shapes_match() {
     let _serial = serial();
@@ -356,8 +356,8 @@ fn a_value_outlives_its_released_parents_intact() {
         live + bytes(M, N),
         "only the surviving output is live; its parents were released"
     );
-    // Allocations of the parents' sizes take their recycled buffers: fill
-    // them with junk before reading the survivor.
+    // Allocations of the parents' sizes may get their freed memory back:
+    // fill them with junk before reading the survivor.
     let junk: Vec<Matrix> = [(M, K), (K, N), (M, N), (M, N)]
         .into_iter()
         .map(|(r, c)| Matrix::full(r, c, f32::NAN))
